@@ -11,9 +11,21 @@ settings:
     report-frequencies -> frequencies.csv
 
 Outputs carry no timestamps; two offline runs over identical inputs write
-byte-identical files. Exit codes: 0 success, 1 (partial) failure,
-2 invalid configuration. Every error path prints a single line
-``error: <code>: <detail>`` to stderr.
+byte-identical files. Each output file is replaced atomically (written to
+``<name>.<pid>.tmp``, then renamed), so a crash leaves the old file or
+none, never a partial one.
+
+Exit codes: 0 success, 1 (partial) failure, 2 invalid configuration. Every
+error path prints a single line ``error: <code>: <detail>`` to stderr.
+Exit 2: ``invalid-config``. Exit 1: ``missing-transcripts``,
+``missing-target-sets``, ``malformed-target-set``, ``zero-scoreable``,
+``missing-returns-data``, ``missing-factors-data``, ``missing-score-table``,
+``malformed-score-table``, ``malformed-score-summary``,
+``insufficient-history``, ``insufficient-quintile-coverage``,
+``insufficient-month-overlap``, ``insufficient-months``,
+``missing-match-records``, ``malformed-match-records``, and for errors
+raised below the CLI ``malformed-input``, ``extraction-error``,
+``embedding-error`` and ``backtest-error`` (see ``_ERRORS``).
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Iterable, NoReturn, Sequence, TextIO, TypeVar
 
 import click
 
@@ -89,7 +101,7 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _fail(error: CliError) -> None:
+def _fail(error: CliError) -> NoReturn:
     detail = " ".join(str(error.detail).split())
     click.echo(f"error: {error.code}: {detail}", err=True)
     sys.exit(error.exit_code)
@@ -113,8 +125,75 @@ def _target_set_path(targets_dir: Path, firm: str, period: corpus.YearQuarter, m
     return targets_dir / f"{firm}_{_period_tag(period)}.{method}.json"
 
 
+# ---------------------------------------------------------------------------
+# file layer: every output goes through _atomic_write, every input through
+# _read_csv or _read_json
+
+
+def _atomic_write(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Let ``write`` fill a temp file, then rename it over ``path``."""
+
+    # The temp name is per process, so concurrent runs never share it, and it
+    # does not end in ".json", so target-set globs never match it. ``write``
+    # streams rows into the file, so a large CSV is never held in memory.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as handle:
+            write(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(path: Path, payload: object) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _atomic_write(path, lambda handle: handle.write(text))
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    def write(handle: TextIO) -> None:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    _atomic_write(path, write)
+
+
+T = TypeVar("T")
+
+# What a malformed input file can raise while it is read or parsed; decode
+# errors are ValueErrors.
+_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, csv.Error)
+
+
+def _read_csv(
+    path: Path, header: Sequence[str], code: str, parse: Callable[[dict[str, str]], T]
+) -> list[T]:
+    """Parse every row of a CSV that has exactly ``header`` as its columns."""
+
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            if next(reader, None) != list(header):
+                raise ValueError(f"expected header {','.join(header)}")
+            records = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    )
+                records.append(parse(dict(zip(header, row))))
+            return records
+    except _READ_ERRORS as exc:
+        raise CliError(code, f"{path.name}: {exc}") from exc
+
+
+def _read_json(path: Path, code: str, parse: Callable[[Any], T]) -> T:
+    try:
+        return parse(json.loads(path.read_text(encoding="utf-8")))
+    except _READ_ERRORS as exc:
+        raise CliError(code, f"{path.name}: {exc}") from exc
 
 
 def _write_target_set(path: Path, target_set: extract.TargetSet) -> None:
@@ -131,8 +210,7 @@ def _write_target_set(path: Path, target_set: extract.TargetSet) -> None:
     _write_json(path, payload)
 
 
-def _read_target_set(path: Path) -> extract.TargetSet:
-    doc = json.loads(path.read_text(encoding="utf-8"))
+def _parse_target_set(doc: Any) -> extract.TargetSet:
     labels = tuple(
         extract.TargetLabel(item["text"], item["section"], int(item["source_index"]))
         for item in doc["labels"]
@@ -286,49 +364,22 @@ def _format_optional(value: object) -> str:
     return str(value)
 
 
-def _write_scores_csv(path: Path, records: Sequence[score.MovingTargetsScore]) -> None:
-    ordered = sorted(records, key=lambda r: (r.firm, r.period, r.method))
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SCORES_CSV_HEADER)
-        for r in ordered:
-            writer.writerow(
-                [
-                    r.firm,
-                    r.period.year,
-                    r.period.quarter,
-                    r.method,
-                    _format_optional(r.tau),
-                    _format_optional(r.value),
-                    _format_optional(r.n_prev),
-                    _format_optional(r.n_curr),
-                    r.skipped_reason or "",
-                ]
-            )
-
-
 def _read_scores_csv(path: Path, directions: dict[str, str]) -> list[score.MovingTargetsScore]:
-    records = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != list(SCORES_CSV_HEADER):
-            raise CliError("malformed-score-table", f"unexpected header in {path}")
-        for row in reader:
-            method = row["method"]
-            records.append(
-                score.MovingTargetsScore(
-                    firm=row["firm"],
-                    period=corpus.YearQuarter(int(row["year"]), int(row["quarter"])),
-                    value=float(row["value"]) if row["value"] else None,
-                    method=method,
-                    tau=float(row["tau"]) if row["tau"] else None,
-                    n_prev=int(row["n_prev"]) if row["n_prev"] else None,
-                    n_curr=int(row["n_curr"]) if row["n_curr"] else None,
-                    direction=directions.get(method, _default_direction(method)),
-                    skipped_reason=row["skipped_reason"] or None,
-                )
-            )
-    return records
+    def parse(row: dict[str, str]) -> score.MovingTargetsScore:
+        method = row["method"]
+        return score.MovingTargetsScore(
+            firm=row["firm"],
+            period=corpus.YearQuarter(int(row["year"]), int(row["quarter"])),
+            value=float(row["value"]) if row["value"] else None,
+            method=method,
+            tau=float(row["tau"]) if row["tau"] else None,
+            n_prev=int(row["n_prev"]) if row["n_prev"] else None,
+            n_curr=int(row["n_curr"]) if row["n_curr"] else None,
+            direction=directions.get(method, _default_direction(method)),
+            skipped_reason=row["skipped_reason"] or None,
+        )
+
+    return _read_csv(path, SCORES_CSV_HEADER, "malformed-score-table", parse)
 
 
 def _default_direction(method: str) -> str:
@@ -353,10 +404,7 @@ def cmd_score(config: RunConfig, extraction_methods: Sequence[str]) -> int:
             )
         target_sets = []
         for path in files:
-            try:
-                target_sets.append(_read_target_set(path))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CliError("malformed-target-set", f"{path.name}: {exc}") from exc
+            target_sets.append(_read_json(path, "malformed-target-set", _parse_target_set))
 
         embedder = None
         if scoring_method == score.METHOD_SEMANTIC:
@@ -377,26 +425,25 @@ def cmd_score(config: RunConfig, extraction_methods: Sequence[str]) -> int:
         raise CliError("zero-scoreable", "no firm-quarter could be scored")
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_scores_csv(config.out_dir / "scores.csv", all_records)
-
-    ordered_matches = sorted(
-        all_matches, key=lambda m: (m.firm, m.period, m.method, m.label)
+    _write_csv(
+        config.out_dir / "scores.csv",
+        SCORES_CSV_HEADER,
+        (
+            [r.firm, r.period.year, r.period.quarter, r.method]
+            + [_format_optional(v) for v in (r.tau, r.value, r.n_prev, r.n_curr)]
+            + [r.skipped_reason or ""]
+            for r in sorted(all_records, key=lambda r: (r.firm, r.period, r.method))
+        ),
     )
-    with (config.out_dir / "score_matches.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(MATCHES_CSV_HEADER)
-        for m in ordered_matches:
-            writer.writerow(
-                [
-                    m.firm,
-                    m.period.year,
-                    m.period.quarter,
-                    m.method,
-                    m.label,
-                    _format_optional(m.best_similarity),
-                    int(m.retained),
-                ]
-            )
+    _write_csv(
+        config.out_dir / "score_matches.csv",
+        MATCHES_CSV_HEADER,
+        (
+            [m.firm, m.period.year, m.period.quarter, m.method, m.label]
+            + [_format_optional(m.best_similarity), int(m.retained)]
+            for m in sorted(all_matches, key=lambda m: (m.firm, m.period, m.method, m.label))
+        ),
+    )
 
     summary_payload = {
         method: {
@@ -450,8 +497,11 @@ def _read_summary_directions(config: RunConfig) -> dict[str, str]:
     path = config.out_dir / "score_summary.json"
     if not path.is_file():
         return {}
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return {method: info.get("direction", "") for method, info in doc.items()}
+    return _read_json(
+        path,
+        "malformed-score-summary",
+        lambda doc: {method: info.get("direction", "") for method, info in doc.items()},
+    )
 
 
 def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> int:
@@ -465,12 +515,8 @@ def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> int:
     if not scores_path.is_file():
         raise CliError("missing-score-table", f"missing score table: {scores_path}; run score first")
 
-    try:
-        returns = corpus.load_returns(config.returns_file)
-        factors = corpus.load_factors(config.factors_file)
-    except corpus.CorpusError as exc:
-        raise CliError("malformed-input", str(exc)) from exc
-
+    returns = corpus.load_returns(config.returns_file)
+    factors = corpus.load_factors(config.factors_file)
     directions = _read_summary_directions(config)
     records = _read_scores_csv(scores_path, directions)
     requested = [EXTRACTION_TO_SCORING[m] for m in extraction_methods]
@@ -563,38 +609,33 @@ def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> int:
         }
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    with (config.out_dir / "backtest_portfolios.csv").open(
-        "w", newline="", encoding="utf-8"
-    ) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["method", "metric", "stat", "Q1", "Q2", "Q3", "Q4", "Q5", "Q5_Q1"])
-        writer.writerows(portfolio_rows)
+    _write_csv(
+        config.out_dir / "backtest_portfolios.csv",
+        ["method", "metric", "stat", "Q1", "Q2", "Q3", "Q4", "Q5", "Q5_Q1"],
+        portfolio_rows,
+    )
 
-    with (config.out_dir / "backtest_fama_macbeth.csv").open(
-        "w", newline="", encoding="utf-8"
-    ) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["regressor", "stat"] + methods)
-        for i, regressor in enumerate(bt.FM_REGRESSORS):
-            writer.writerow(
-                [regressor, "value"]
-                + [f"{fm_results[m].mean_coefficients[i]:.4f}" for m in methods]
-            )
-            writer.writerow(
-                [regressor, "t_stat"] + [f"{fm_results[m].t_stats[i]:.2f}" for m in methods]
-            )
-        writer.writerow(["r_squared", "value"] + [f"{fm_results[m].avg_r_squared:.4f}" for m in methods])
-        writer.writerow(["n_obs", "value"] + [str(fm_results[m].n_obs) for m in methods])
-        writer.writerow(["n_months", "value"] + [str(fm_results[m].n_months) for m in methods])
+    fm_rows: list[list[str]] = []
+    for i, regressor in enumerate(bt.FM_REGRESSORS):
+        fm_rows.append(
+            [regressor, "value"] + [f"{fm_results[m].mean_coefficients[i]:.4f}" for m in methods]
+        )
+        fm_rows.append(
+            [regressor, "t_stat"] + [f"{fm_results[m].t_stats[i]:.2f}" for m in methods]
+        )
+    fm_rows.append(["r_squared", "value"] + [f"{fm_results[m].avg_r_squared:.4f}" for m in methods])
+    fm_rows.append(["n_obs", "value"] + [str(fm_results[m].n_obs) for m in methods])
+    fm_rows.append(["n_months", "value"] + [str(fm_results[m].n_months) for m in methods])
+    _write_csv(
+        config.out_dir / "backtest_fama_macbeth.csv", ["regressor", "stat"] + methods, fm_rows
+    )
 
     if len(methods) >= 2:
-        with (config.out_dir / "backtest_plot_data.csv").open(
-            "w", newline="", encoding="utf-8"
-        ) as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["model", "metric", "value"])
-            for model_name, metric_name, value in plot_rows:
-                writer.writerow([model_name, metric_name, f"{value:.4f}"])
+        _write_csv(
+            config.out_dir / "backtest_plot_data.csv",
+            ["model", "metric", "value"],
+            ([model, metric, f"{value:.4f}"] for model, metric, value in plot_rows),
+        )
     else:
         click.echo("notice: comparison plot omitted (single method)")
 
@@ -622,25 +663,25 @@ def cmd_report_frequencies(config: RunConfig, extraction_methods: Sequence[str],
             "missing-match-records", f"missing match records: {matches_path}; run score first"
         )
 
+    def parse(row: dict[str, str]) -> tuple[str, str, str]:
+        if row["retained"] not in ("0", "1"):
+            raise ValueError(f"retained must be 0 or 1, got {row['retained']!r}")
+        return row["method"], row["label"], row["retained"]
+
     requested = {EXTRACTION_TO_SCORING[m] for m in extraction_methods}
     counts: dict[str, Counter] = {}
-    with matches_path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            method = row["method"]
-            if method not in requested or row["retained"] != "0":
-                continue
-            counts.setdefault(method, Counter())[row["label"]] += 1
+    matches = _read_csv(matches_path, MATCHES_CSV_HEADER, "malformed-match-records", parse)
+    for method, label, retained in matches:
+        if method in requested and retained == "0":
+            counts.setdefault(method, Counter())[label] += 1
 
+    rows: list[list[object]] = []
+    for method in sorted(counts):
+        ranked = sorted(counts[method].items(), key=lambda item: (-item[1], item[0]))[:top_k]
+        rows.extend([method, rank, label, count] for rank, (label, count) in enumerate(ranked, 1))
+        click.echo(f"frequencies[{method}]: {len(ranked)} rows")
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    with (config.out_dir / "frequencies.csv").open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["method", "rank", "target", "count"])
-        for method in sorted(counts):
-            ranked = sorted(counts[method].items(), key=lambda item: (-item[1], item[0]))
-            for rank, (label, count) in enumerate(ranked[:top_k], start=1):
-                writer.writerow([method, rank, label, count])
-            click.echo(f"frequencies[{method}]: {min(top_k, len(ranked))} rows")
+    _write_csv(config.out_dir / "frequencies.csv", ["method", "rank", "target", "count"], rows)
     return EXIT_OK
 
 
@@ -648,43 +689,36 @@ def cmd_report_frequencies(config: RunConfig, extraction_methods: Sequence[str],
 # click wiring
 
 
-def _prepare_config(
+# Exceptions raised below the CLI, most specific first:
+# (exception type, error code, exit code).
+_ERRORS: tuple[tuple[type[Exception], str, int], ...] = (
+    (ConfigError, "invalid-config", EXIT_CONFIG),
+    (corpus.CorpusError, "malformed-input", EXIT_FAILURE),
+    (extract.ExtractionError, "extraction-error", EXIT_FAILURE),
+    (embed.EmbeddingError, "embedding-error", EXIT_FAILURE),
+    (bt.BacktestError, "backtest-error", EXIT_FAILURE),
+)
+
+
+def _run(
+    command: Callable[..., int],
     config_path: str,
-    out_dir: str | None,
-    tau: float | None,
-    direction: str | None,
-    offline: bool,
-) -> RunConfig:
-    config = load_config(config_path)
-    return config.with_overrides(
-        out_dir=Path(out_dir) if out_dir else None,
-        tau=tau,
-        direction=direction,
-        offline=True if offline else None,
-    )
+    method: str,
+    *args: object,
+    out_dir: str | None = None,
+    **overrides: object,
+) -> None:
+    """Load the config, apply the overrides, run ``command`` and exit with its code."""
 
-
-def _run(command, *args) -> None:
     try:
-        code = command(*args)
-    except ConfigError as exc:
-        _fail(CliError("invalid-config", str(exc), EXIT_CONFIG))
-        return
+        config = load_config(config_path).with_overrides(
+            out_dir=Path(out_dir) if out_dir else None, **overrides
+        )
+        code = command(config, _resolve_methods(method), *args)
     except CliError as exc:
         _fail(exc)
-        return
-    except corpus.CorpusError as exc:
-        _fail(CliError("malformed-input", str(exc)))
-        return
-    except extract.ExtractionError as exc:
-        _fail(CliError("extraction-error", str(exc)))
-        return
-    except embed.EmbeddingError as exc:
-        _fail(CliError("embedding-error", str(exc)))
-        return
-    except bt.BacktestError as exc:
-        _fail(CliError("backtest-error", str(exc)))
-        return
+    except tuple(kind for kind, _, _ in _ERRORS) as exc:
+        _fail(next(CliError(c, str(exc), x) for kind, c, x in _ERRORS if isinstance(exc, kind)))
     if code != EXIT_OK:
         sys.exit(code)
 
@@ -712,12 +746,7 @@ def main() -> None:
 def extract_command(config_path: str, method: str, out_dir: str | None, offline: bool) -> None:
     """Extract target sets from every transcript."""
 
-    try:
-        config = _prepare_config(config_path, out_dir, None, None, offline)
-    except ConfigError as exc:
-        _fail(CliError("invalid-config", str(exc), EXIT_CONFIG))
-        return
-    _run(cmd_extract, config, _resolve_methods(method))
+    _run(cmd_extract, config_path, method, out_dir=out_dir, offline=offline or None)
 
 
 @main.command("score")
@@ -737,12 +766,15 @@ def score_command(
 ) -> None:
     """Compute drift scores for extracted target sets."""
 
-    try:
-        config = _prepare_config(config_path, out_dir, tau, direction, offline)
-    except ConfigError as exc:
-        _fail(CliError("invalid-config", str(exc), EXIT_CONFIG))
-        return
-    _run(cmd_score, config, _resolve_methods(method))
+    _run(
+        cmd_score,
+        config_path,
+        method,
+        out_dir=out_dir,
+        tau=tau,
+        direction=direction,
+        offline=offline or None,
+    )
 
 
 @main.command("backtest")
@@ -752,12 +784,7 @@ def score_command(
 def backtest_command(config_path: str, method: str, out_dir: str | None) -> None:
     """Run portfolio sorts and cross-sectional regressions on scores."""
 
-    try:
-        config = _prepare_config(config_path, out_dir, None, None, False)
-    except ConfigError as exc:
-        _fail(CliError("invalid-config", str(exc), EXIT_CONFIG))
-        return
-    _run(cmd_backtest, config, _resolve_methods(method))
+    _run(cmd_backtest, config_path, method, out_dir=out_dir)
 
 
 @main.command("report-frequencies")
@@ -770,12 +797,7 @@ def report_frequencies_command(
 ) -> None:
     """Report the most frequently dropped targets."""
 
-    try:
-        config = _prepare_config(config_path, out_dir, None, None, False)
-    except ConfigError as exc:
-        _fail(CliError("invalid-config", str(exc), EXIT_CONFIG))
-        return
-    _run(cmd_report_frequencies, config, _resolve_methods(method), top_k)
+    _run(cmd_report_frequencies, config_path, method, top_k, out_dir=out_dir)
 
 
 if __name__ == "__main__":

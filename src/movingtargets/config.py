@@ -78,16 +78,8 @@ class RunConfig:
         direction: str | None = None,
         offline: bool | None = None,
     ) -> "RunConfig":
-        updated = self
-        if out_dir is not None:
-            updated = replace(updated, out_dir=out_dir)
-        if tau is not None:
-            updated = replace(updated, tau=tau)
-        if direction is not None:
-            updated = replace(updated, direction=direction)
-        if offline is not None:
-            updated = replace(updated, offline=offline)
-        return updated
+        overrides = {"out_dir": out_dir, "tau": tau, "direction": direction, "offline": offline}
+        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _expect_keys(section: dict, allowed: set[str], where: str) -> None:

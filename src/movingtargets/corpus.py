@@ -208,9 +208,6 @@ class ReturnsTable:
             by_key[key] = row
         return cls(rows=ordered, _by_key=by_key)
 
-    def get(self, firm: str, month: Month) -> ReturnRow | None:
-        return self._by_key.get((firm, month))
-
     def ret(self, firm: str, month: Month) -> float | None:
         row = self._by_key.get((firm, month))
         return None if row is None else row.ret

@@ -1,9 +1,9 @@
-"""Label embeddings: pluggable encoder clients, a file cache, and cosine.
+"""Label embeddings: pluggable encoder clients and a file cache.
 
-Vectors are stored exactly as delivered (no pre-normalization); cosine
-handles scaling. The cache holds one plain-text file per (model, label)
-key so cached vectors can be audited and replayed offline; write-then-read
-returns bit-identical values.
+Vectors are stored exactly as delivered (no pre-normalization); the
+similarity pass in ``score`` handles scaling. The cache holds one plain-text
+file per (model, label) key so cached vectors can be audited and replayed
+offline; write-then-read returns bit-identical values.
 """
 
 from __future__ import annotations
@@ -53,20 +53,6 @@ class EmbeddingVector:
         return len(self.values)
 
 
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine similarity dot(a,b) / (|a| |b|), in [-1, 1] up to rounding."""
-
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    va = np.asarray(a.values, dtype=float)
-    vb = np.asarray(b.values, dtype=float)
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise EmbeddingError("zero-norm input to cosine")
-    return float(np.dot(va, vb) / (na * nb))
-
-
 class EncoderClient(Protocol):
     """Batch text encoder; output order matches input order."""
 
@@ -111,7 +97,8 @@ class EmbeddingCache:
             body = "\n".join(
                 [vector.model_id, label, " ".join(repr(v) for v in vector.values)]
             )
-            tmp = path.with_suffix(".tmp")
+            # The lock serializes one process only, so the temp name is per process.
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
             tmp.write_text(body + "\n", encoding="utf-8")
             os.replace(tmp, path)
 

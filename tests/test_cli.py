@@ -6,6 +6,8 @@ import shutil
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movingtargets.cli import main
 
@@ -290,3 +292,134 @@ class TestConfigValidation:
         )
         assert result.exit_code == 2
         assert "recordings_dir" in result.output
+
+
+@pytest.fixture(scope="module")
+def pipeline_out(full_corpus, tmp_path_factory):
+    """A complete set of outputs: extract, score, backtest and report-frequencies."""
+
+    out = tmp_path_factory.mktemp("pipeline") / "out"
+    runner = CliRunner()
+    for command in ("extract", "score", "backtest", "report-frequencies"):
+        result = invoke(runner, full_corpus, command, out_dir=out)
+        assert result.exit_code == 0, result.output
+    return out
+
+
+def rewrite_lines(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(edit(lines)), encoding="utf-8")
+
+
+def swap_last_two_fields(lines):
+    rows = [line.rstrip("\n").split(",") for line in lines[1:]]
+    return lines[:1] + [",".join(row[:-2] + [row[-1], row[-2]]) + "\n" for row in rows]
+
+
+def year_not_a_number(lines):
+    firm, _, rest = lines[1].split(",", 2)
+    return [lines[0], f"{firm},20x9,{rest}", *lines[2:]]
+
+
+def rename_label_column(lines):
+    return [lines[0].replace("label", "target"), *lines[1:]]
+
+
+def short_row(lines):
+    return [lines[0], ",".join(lines[1].split(",")[:2]) + "\n", *lines[2:]]
+
+
+CORRUPT_INPUTS = {
+    "corrupt-summary": (
+        "score_summary.json", lambda path: path.write_text("{not json", encoding="utf-8"),
+        "backtest", "malformed-score-summary",
+    ),
+    "summary-root-is-a-list": (
+        "score_summary.json", lambda path: path.write_text("[]\n", encoding="utf-8"),
+        "backtest", "malformed-score-summary",
+    ),
+    "matches-columns-swapped": (
+        "score_matches.csv", lambda path: rewrite_lines(path, swap_last_two_fields),
+        "report-frequencies", "malformed-match-records",
+    ),
+    "matches-empty": (
+        "score_matches.csv", lambda path: path.write_text("", encoding="utf-8"),
+        "report-frequencies", "malformed-match-records",
+    ),
+    "matches-wrong-header": (
+        "score_matches.csv", lambda path: rewrite_lines(path, rename_label_column),
+        "report-frequencies", "malformed-match-records",
+    ),
+    "scores-year-not-a-number": (
+        "scores.csv", lambda path: rewrite_lines(path, year_not_a_number),
+        "backtest", "malformed-score-table",
+    ),
+    "scores-short-row": (
+        "scores.csv", lambda path: rewrite_lines(path, short_row),
+        "backtest", "malformed-score-table",
+    ),
+}
+
+
+def snapshot(out):
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_INPUTS))
+def test_malformed_input_gives_one_error_line_and_keeps_outputs(
+    full_corpus, pipeline_out, tmp_path, case
+):
+    name, corrupt, command, code = CORRUPT_INPUTS[case]
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    corrupt(out / name)
+    before = snapshot(out)
+    result = invoke(CliRunner(), full_corpus, command, out_dir=out)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"error: {code}: ")
+    assert snapshot(out) == before
+
+
+def mutations(original):
+    """Truncations and single-byte flips of ``original``."""
+
+    index = st.integers(0, len(original) - 1)
+    truncated = index.map(lambda n: original[:n])
+    flipped = st.tuples(index, st.integers(1, 255)).map(
+        lambda flip: original[: flip[0]]
+        + bytes([original[flip[0]] ^ flip[1]])
+        + original[flip[0] + 1 :]
+    )
+    return truncated | flipped
+
+
+FUZZED_INPUTS = [
+    ("scores.csv", ["backtest"]),
+    ("score_matches.csv", ["report-frequencies"]),
+    ("score_summary.json", ["backtest"]),
+    ("targets/*.llm.json", ["score", "--method", "llm"]),
+]
+
+
+@pytest.mark.parametrize("pattern, command", FUZZED_INPUTS)
+def test_mutated_input_exits_cleanly(full_corpus, pipeline_out, tmp_path, pattern, command):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    path = sorted(out.glob(pattern))[0]
+    original = path.read_bytes()
+    runner = CliRunner()
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(mutations(original))
+    def check(mutated):
+        path.write_bytes(mutated)
+        result = invoke(runner, full_corpus, *command, out_dir=out)
+        assert isinstance(result.exception, (type(None), SystemExit)), result.exception
+        assert result.exit_code in (0, 1)
+        if result.exit_code:
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+    check()
