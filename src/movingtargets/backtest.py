@@ -7,9 +7,9 @@ call until its next call, then estimate excess returns and factor alphas
 per quintile and for the Q5-Q1 spread, plus monthly cross-sectional
 regressions of firm returns on the score and standard controls.
 
-All regressions are ordinary least squares with classical standard errors;
-a Newey-West lag option exists but is off by default. Degenerate t-stats
-(zero variance) are reported as 0 and flagged instead of infinity.
+All regressions are ordinary least squares with classical standard errors.
+Degenerate t-stats (zero variance) are reported as 0 and flagged instead of
+infinity.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .corpus import (
     PanelObservation,
     ReturnsTable,
     YearQuarter,
-    holding_window,
+    holding_windows,
     shift_quarters,
 )
 from .score import MovingTargetsScore
@@ -140,9 +140,6 @@ class QuintileAssignment:
         if self.exit_month < self.entry_month:
             raise ValueError("exit month must not precede entry month")
 
-    def active_in(self, month: Month) -> bool:
-        return self.entry_month <= month <= self.exit_month
-
 
 @dataclass(frozen=True)
 class AssignmentResult:
@@ -159,14 +156,11 @@ def build_assignments(records: Sequence[MovingTargetsScore]) -> AssignmentResult
     with too few pooled prior observations, receive no assignment.
     """
 
-    calendar: dict[str, list[YearQuarter]] = {}
+    windows = holding_windows((record.firm, record.period) for record in records)
     values_by_period: dict[YearQuarter, list[float]] = {}
     for record in records:
-        calendar.setdefault(record.firm, []).append(record.period)
         if record.value is not None:
             values_by_period.setdefault(record.period, []).append(record.value)
-    for periods in calendar.values():
-        periods.sort()
 
     assignments = []
     unassignable = 0
@@ -187,14 +181,14 @@ def build_assignments(records: Sequence[MovingTargetsScore]) -> AssignmentResult
             unassignable += 1
             continue
         cutoffs = quintile_breakpoints(pool)
-        entry, exit_ = holding_window(record.period, calendar[record.firm])
+        entry, exit_ = windows[(record.firm, record.period)]
         assignments.append(
             QuintileAssignment(
                 firm=record.firm,
                 period=record.period,
                 quintile=assign_quintile(record.value, cutoffs),
-                entry_month=entry,
-                exit_month=exit_,
+                entry_month=Month.from_index(entry),
+                exit_month=Month.from_index(exit_),
             )
         )
     return AssignmentResult(assignments=tuple(assignments), unassignable=unassignable)
@@ -216,33 +210,30 @@ def calendar_time_returns(
     quintile has no members with returns are omitted for that quintile.
     """
 
-    if not assignments:
-        return CalendarTimeResult(series={}, member_counts={})
+    # firm -> {month index: quintile}. Firms keep their order of first
+    # appearance, so each month's mean sums its members in that order.
+    held: dict[str, dict[int, int]] = {a.firm: {} for a in assignments}
+    # Most recent (entry_month, period) first; setdefault keeps the first
+    # writer, and the stable sort breaks ties by input order.
+    for a in sorted(assignments, key=lambda a: (a.entry_month, a.period), reverse=True):
+        months = held[a.firm]
+        for month in range(a.entry_month.index, a.exit_month.index + 1):
+            months.setdefault(month, a.quintile)
 
-    first = min(a.entry_month for a in assignments)
-    last = max(a.exit_month for a in assignments)
-    by_firm: dict[str, list[QuintileAssignment]] = {}
-    for assignment in assignments:
-        by_firm.setdefault(assignment.firm, []).append(assignment)
+    pooled: dict[int, dict[int, list[float]]] = {}
+    for firm, months in held.items():
+        for month, quintile in months.items():
+            ret = returns.ret(firm, month)
+            if ret is not None:
+                pooled.setdefault(month, {}).setdefault(quintile, []).append(ret)
 
     per_quintile: dict[int, list[tuple[Month, float]]] = {q: [] for q in range(1, 6)}
     member_counts: dict[tuple[Month, int], int] = {}
-    month = first
-    while month <= last:
-        pooled: dict[int, list[float]] = {}
-        for firm, firm_assignments in by_firm.items():
-            active = [a for a in firm_assignments if a.active_in(month)]
-            if not active:
-                continue
-            current = max(active, key=lambda a: (a.entry_month, a.period))
-            ret = returns.ret(firm, month)
-            if ret is None:
-                continue
-            pooled.setdefault(current.quintile, []).append(ret)
-        for quintile, rets in pooled.items():
+    for index in sorted(pooled):
+        month = Month.from_index(index)
+        for quintile, rets in pooled[index].items():
             per_quintile[quintile].append((month, sum(rets) / len(rets)))
             member_counts[(month, quintile)] = len(rets)
-        month = month.shift(1)
 
     series = {
         q: MonthlySeries.from_pairs(pairs)
@@ -261,14 +252,11 @@ class OlsFit:
     n_obs: int
 
 
-def ols(
-    y: Sequence[float], X: Sequence[Sequence[float]], *, nw_lags: int | None = None
-) -> OlsFit:
+def ols(y: Sequence[float], X: Sequence[Sequence[float]]) -> OlsFit:
     """Least squares of y on X (caller includes the intercept column).
 
-    Standard errors are classical (homoskedastic) unless ``nw_lags`` asks
-    for Newey-West with Bartlett weights. Coefficients with a zero standard
-    error report t = 0.
+    Standard errors are classical (homoskedastic). Coefficients with a zero
+    standard error report t = 0.
     """
 
     y_arr = np.asarray(y, dtype=float)
@@ -280,29 +268,15 @@ def ols(
         raise ValueError("y and X row counts differ")
     if n <= k:
         raise InsufficientHistoryError(f"insufficient observations: {n} rows, {k} regressors")
-    if np.linalg.matrix_rank(x_arr) < k:
-        raise RankDeficiencyError("regressor matrix is rank deficient")
 
-    beta, _, _, _ = np.linalg.lstsq(x_arr, y_arr, rcond=None)
+    # rcond=None cuts singular values at eps * max(n, k) * s_max, the
+    # matrix_rank default, so the rank is read off the same SVD.
+    beta, _, rank, _ = np.linalg.lstsq(x_arr, y_arr, rcond=None)
+    if rank < k:
+        raise RankDeficiencyError("regressor matrix is rank deficient")
     residuals = y_arr - x_arr @ beta
     rss = float(residuals @ residuals)
-    dof = n - k
-    xtx_inv = np.linalg.inv(x_arr.T @ x_arr)
-
-    if nw_lags is None:
-        cov = (rss / dof) * xtx_inv
-    else:
-        if nw_lags < 0:
-            raise ValueError("nw_lags must be non-negative")
-        meat = np.zeros((k, k))
-        scores = x_arr * residuals[:, None]
-        meat += scores.T @ scores
-        for lag in range(1, min(nw_lags, n - 1) + 1):
-            weight = 1.0 - lag / (nw_lags + 1.0)
-            gamma = scores[lag:].T @ scores[:-lag]
-            meat += weight * (gamma + gamma.T)
-        cov = xtx_inv @ meat @ xtx_inv
-
+    cov = (rss / (n - k)) * np.linalg.inv(x_arr.T @ x_arr)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     t_stats = tuple(
         float(b / s) if s > 0.0 else 0.0 for b, s in zip(beta, se)
@@ -332,7 +306,6 @@ def factor_alpha(
     model: str,
     *,
     subtract_rf: bool = True,
-    nw_lags: int | None = None,
 ) -> AlphaEstimate:
     """Mean excess return or factor-model intercept of a monthly series.
 
@@ -369,7 +342,7 @@ def factor_alpha(
         X = [[1.0, f.mkt_rf, f.smb, f.hml] for _, f in rows]
     else:
         X = [[1.0, f.mkt_rf, f.smb, f.hml, f.mom, f.liq] for _, f in rows]
-    fit = ols(y, X, nw_lags=nw_lags)
+    fit = ols(y, X)
     degenerate = fit.standard_errors[0] == 0.0
     return AlphaEstimate(
         alpha=fit.coefficients[0],

@@ -18,14 +18,15 @@ none, never a partial one.
 Exit codes: 0 success, 1 (partial) failure, 2 invalid configuration. Every
 error path prints a single line ``error: <code>: <detail>`` to stderr.
 Exit 2: ``invalid-config``. Exit 1: ``missing-transcripts``,
-``missing-target-sets``, ``malformed-target-set``, ``zero-scoreable``,
-``missing-returns-data``, ``missing-factors-data``, ``missing-score-table``,
-``malformed-score-table``, ``malformed-score-summary``,
-``insufficient-history``, ``insufficient-quintile-coverage``,
-``insufficient-month-overlap``, ``insufficient-months``,
-``missing-match-records``, ``malformed-match-records``, and for errors
-raised below the CLI ``malformed-input``, ``extraction-error``,
-``embedding-error`` and ``backtest-error`` (see ``_ERRORS``).
+``partial-extraction``, ``missing-target-sets``, ``malformed-target-set``,
+``zero-scoreable``, ``missing-returns-data``, ``missing-factors-data``,
+``missing-score-table``, ``malformed-score-table``,
+``malformed-score-summary``, ``insufficient-history``,
+``insufficient-quintile-coverage``, ``insufficient-month-overlap``,
+``insufficient-months``, ``missing-match-records``,
+``malformed-match-records``, and for errors raised below the CLI
+``malformed-input``, ``extraction-error``, ``embedding-error``,
+``backtest-error`` and ``io-error`` (see ``_ERRORS``).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .config import (
     load_config,
 )
 
-EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
@@ -248,7 +248,7 @@ def _build_extractor_client(config: RunConfig) -> extract.ExtractorClient:
     return client
 
 
-def cmd_extract(config: RunConfig, extraction_methods: Sequence[str]) -> int:
+def cmd_extract(config: RunConfig, extraction_methods: Sequence[str]) -> None:
     """Extract target sets for every transcript and requested method."""
 
     transcripts_dir = config.transcripts_dir
@@ -322,7 +322,11 @@ def cmd_extract(config: RunConfig, extraction_methods: Sequence[str]) -> int:
         f"extract: {written} target-set files from {len(transcripts)} transcripts "
         f"({len(errors)} errors)"
     )
-    return EXIT_FAILURE if errors else EXIT_OK
+    if errors:
+        raise CliError(
+            "partial-extraction",
+            f"{len(errors)} of {len(files)} transcripts failed; see extract_diagnostics.json",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +390,7 @@ def _default_direction(method: str) -> str:
     return score.DIRECTION_RETENTION if method == score.METHOD_SEMANTIC else score.DIRECTION_MISSING
 
 
-def cmd_score(config: RunConfig, extraction_methods: Sequence[str]) -> int:
+def cmd_score(config: RunConfig, extraction_methods: Sequence[str]) -> None:
     """Score extracted target sets against the year-earlier call."""
 
     targets_dir = _targets_dir(config)
@@ -471,7 +475,6 @@ def cmd_score(config: RunConfig, extraction_methods: Sequence[str]) -> int:
             f"targets/call={s.targets_per_call:.2f} "
             f"(presentation {s.presentation_per_call:.2f}, qa {s.qa_per_call:.2f})"
         )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +507,7 @@ def _read_summary_directions(config: RunConfig) -> dict[str, str]:
     )
 
 
-def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> int:
+def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> None:
     """Portfolio sorts, factor alphas, and cross-sectional regressions."""
 
     if not config.returns_file.is_file():
@@ -645,14 +648,15 @@ def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> int:
             f"backtest[{method}] spread_months={meta[method]['spread_months']} "
             f"fm_months={fm_results[method].n_months} fm_n={fm_results[method].n_obs}"
         )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # report-frequencies
 
 
-def cmd_report_frequencies(config: RunConfig, extraction_methods: Sequence[str], top_k: int) -> int:
+def cmd_report_frequencies(
+    config: RunConfig, extraction_methods: Sequence[str], top_k: int
+) -> None:
     """Top-K most frequently dropped targets per scoring method."""
 
     if top_k < 1:
@@ -682,7 +686,6 @@ def cmd_report_frequencies(config: RunConfig, extraction_methods: Sequence[str],
         click.echo(f"frequencies[{method}]: {len(ranked)} rows")
     config.out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(config.out_dir / "frequencies.csv", ["method", "rank", "target", "count"], rows)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -697,30 +700,29 @@ _ERRORS: tuple[tuple[type[Exception], str, int], ...] = (
     (extract.ExtractionError, "extraction-error", EXIT_FAILURE),
     (embed.EmbeddingError, "embedding-error", EXIT_FAILURE),
     (bt.BacktestError, "backtest-error", EXIT_FAILURE),
+    (OSError, "io-error", EXIT_FAILURE),
 )
 
 
 def _run(
-    command: Callable[..., int],
+    command: Callable[..., None],
     config_path: str,
     method: str,
     *args: object,
     out_dir: str | None = None,
     **overrides: object,
 ) -> None:
-    """Load the config, apply the overrides, run ``command`` and exit with its code."""
+    """Load the config, apply the overrides and run ``command``; fail on its errors."""
 
     try:
         config = load_config(config_path).with_overrides(
             out_dir=Path(out_dir) if out_dir else None, **overrides
         )
-        code = command(config, _resolve_methods(method), *args)
+        command(config, _resolve_methods(method), *args)
     except CliError as exc:
         _fail(exc)
     except tuple(kind for kind, _, _ in _ERRORS) as exc:
         _fail(next(CliError(c, str(exc), x) for kind, c, x in _ERRORS if isinstance(exc, kind)))
-    if code != EXIT_OK:
-        sys.exit(code)
 
 
 config_option = click.option(

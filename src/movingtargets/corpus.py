@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -79,13 +80,16 @@ class Month:
             raise CorpusError(f"month must be YYYY-MM, got {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
 
+    @classmethod
+    def from_index(cls, index: int) -> "Month":
+        return cls(index // 12, index % 12 + 1)
+
     @property
     def index(self) -> int:
         return self.year * 12 + (self.month - 1)
 
     def shift(self, k: int) -> "Month":
-        index = self.index + k
-        return Month(index // 12, index % 12 + 1)
+        return Month.from_index(self.index + k)
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"
@@ -192,36 +196,55 @@ class ReturnRow:
 
 @dataclass(frozen=True)
 class ReturnsTable:
-    """Monthly firm returns plus size and book-to-market characteristics."""
+    """Monthly firm returns plus size and book-to-market characteristics.
+
+    Lookups go through one index per firm: its sorted month indices
+    (``Month.index``), with its rows in the same order. ``ret`` and ``span``
+    take month indices.
+    """
 
     rows: tuple[ReturnRow, ...]
-    _by_key: Mapping[tuple[str, Month], ReturnRow] = field(repr=False, compare=False)
+    _by_firm: Mapping[str, tuple[list[int], list[ReturnRow]]] = field(
+        repr=False, compare=False
+    )
 
     @classmethod
     def from_rows(cls, rows: Iterable[ReturnRow]) -> "ReturnsTable":
         ordered = tuple(sorted(rows, key=lambda r: (r.firm, r.month)))
-        by_key: dict[tuple[str, Month], ReturnRow] = {}
+        by_firm: dict[str, tuple[list[int], list[ReturnRow]]] = {}
         for row in ordered:
-            key = (row.firm, row.month)
-            if key in by_key:
+            months, firm_rows = by_firm.setdefault(row.firm, ([], []))
+            if months and months[-1] == row.month.index:
                 raise CorpusError(f"duplicate return row for {row.firm} {row.month}")
-            by_key[key] = row
-        return cls(rows=ordered, _by_key=by_key)
+            months.append(row.month.index)
+            firm_rows.append(row)
+        return cls(rows=ordered, _by_firm=by_firm)
 
-    def ret(self, firm: str, month: Month) -> float | None:
-        row = self._by_key.get((firm, month))
-        return None if row is None else row.ret
+    def ret(self, firm: str, month: int) -> float | None:
+        span = self.span(firm, month, month)
+        return None if span is None else span[0]
+
+    def span(self, firm: str, first: int, last: int) -> list[float] | None:
+        """Returns of ``firm`` over months ``first..last``, oldest first.
+
+        None unless every month of the span has a row.
+        """
+
+        months, rows = self._by_firm.get(firm, ((), ()))
+        start = bisect_left(months, first)
+        end = start + last - first
+        # The months are distinct and sorted and months[start] >= first, so
+        # months[end] == last leaves no room for a gap.
+        if end >= len(months) or months[end] != last:
+            return None
+        return [row.ret for row in rows[start : end + 1]]
 
     def latest_at_or_before(self, firm: str, month: Month) -> ReturnRow | None:
         """Most recent row for ``firm`` dated at or before ``month``."""
 
-        best: ReturnRow | None = None
-        for row in self.rows:
-            if row.firm != firm or row.month > month:
-                continue
-            if best is None or row.month > best.month:
-                best = row
-        return best
+        months, rows = self._by_firm.get(firm, ((), ()))
+        position = bisect_right(months, month.index)
+        return rows[position - 1] if position else None
 
 
 def _parse_float(value: str, column: str, where: str) -> float:
@@ -352,36 +375,32 @@ class PanelBuildResult:
     diagnostics: Mapping[str, int]
 
 
-def holding_window(
-    period: YearQuarter, later_periods: Sequence[YearQuarter]
-) -> tuple[Month, Month]:
-    """Entry and exit months for a call at ``period``.
+def holding_windows(
+    calls: Iterable[tuple[str, YearQuarter]],
+) -> dict[tuple[str, YearQuarter], tuple[int, int]]:
+    """Entry and exit month indices of every ``(firm, period)`` call.
 
     The window opens the month after the call and closes in the month of the
     firm's next call; with no later call on record the position is held for
     three months.
     """
 
-    start = call_month(period)
-    upcoming = [p for p in later_periods if p > period]
-    end = call_month(min(upcoming)) if upcoming else start.shift(3)
-    return start.shift(1), end
+    calendar: dict[str, set[YearQuarter]] = {}
+    for firm, period in calls:
+        calendar.setdefault(firm, set()).add(period)
+    windows: dict[tuple[str, YearQuarter], tuple[int, int]] = {}
+    for firm, periods in calendar.items():
+        ordered = sorted(periods)
+        months = [call_month(period).index for period in ordered]
+        for period, call, end in zip(ordered, months, months[1:] + [months[-1] + 3]):
+            windows[(firm, period)] = (call + 1, end)
+    return windows
 
 
 def compound_return(returns: Sequence[float]) -> float:
     """Compounded simple return over consecutive months."""
 
     return math.prod(1.0 + r for r in returns) - 1.0
-
-
-def _trailing_compound(returns: ReturnsTable, firm: str, month: Month) -> float | None:
-    window = []
-    for k in range(12, 0, -1):
-        r = returns.ret(firm, month.shift(-k))
-        if r is None:
-            return None
-        window.append(r)
-    return compound_return(window)
 
 
 def build_panel(
@@ -397,12 +416,8 @@ def build_panel(
     consulted to count panel months without factor coverage.
     """
 
-    calendar: dict[str, list[YearQuarter]] = {}
-    for record in scores:
-        calendar.setdefault(record.firm, []).append(record.period)
-    for periods in calendar.values():
-        periods.sort()
-
+    windows = holding_windows((record.firm, record.period) for record in scores)
+    factor_months = None if factors is None else {row.month.index for row in factors.rows}
     rows: list[PanelObservation] = []
     diagnostics = {
         "rows_emitted": 0,
@@ -415,35 +430,33 @@ def build_panel(
     scored = [r for r in scores if r.value is not None]
     scored.sort(key=lambda r: (r.firm, r.period))
     for record in scored:
-        entry, exit_ = holding_window(record.period, calendar[record.firm])
-        anchor = call_month(record.period)
-        latest = returns.latest_at_or_before(record.firm, anchor)
+        entry, exit_ = windows[(record.firm, record.period)]
+        latest = returns.latest_at_or_before(record.firm, call_month(record.period))
         log_size = None if latest is None else math.log(latest.mktcap)
         log_bm = None if latest is None else math.log(latest.bm)
 
-        month = entry
-        while month <= exit_:
+        for month in range(entry, exit_ + 1):
             diagnostics["expected_rows"] += 1
             ret = returns.ret(record.firm, month)
             if ret is None:
                 diagnostics["rows_skipped_no_return"] += 1
             else:
+                trailing = returns.span(record.firm, month - 12, month - 1)
                 row = PanelObservation(
                     firm=record.firm,
-                    month=month,
+                    month=Month.from_index(month),
                     ret=ret,
                     score=record.value,
                     log_size=log_size,
                     log_bm=log_bm,
-                    ret_1_0=returns.ret(record.firm, month.shift(-1)),
-                    ret_12_1=_trailing_compound(returns, record.firm, month),
+                    ret_1_0=returns.ret(record.firm, month - 1),
+                    ret_12_1=None if trailing is None else compound_return(trailing),
                 )
                 if not row.has_all_controls:
                     diagnostics["rows_missing_controls"] += 1
                 rows.append(row)
                 diagnostics["rows_emitted"] += 1
-            if factors is not None and factors.get(month) is None:
+            if factor_months is not None and month not in factor_months:
                 diagnostics["months_without_factors"] += 1
-            month = month.shift(1)
 
     return PanelBuildResult(rows=tuple(rows), diagnostics=diagnostics)

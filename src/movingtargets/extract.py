@@ -295,12 +295,6 @@ class RecordingStore:
             return None
         return path.read_text(encoding="utf-8")
 
-    def put(self, model_id: str, prompt: str, response: str) -> Path:
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(model_id, prompt)
-        path.write_text(response, encoding="utf-8")
-        return path
-
 
 class ReplayExtractorClient:
     """Serves recorded responses only; any miss is an error."""

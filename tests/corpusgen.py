@@ -216,10 +216,10 @@ def build_corpus(
     recordings_dir = root / "recordings"
     cache_dir = root / "embedding_cache"
     transcripts_dir.mkdir(parents=True, exist_ok=True)
+    recordings_dir.mkdir(parents=True, exist_ok=True)
 
     firms = FIRMS[:n_firms]
     periods = _periods(start_year, n_quarters)
-    store = extract.RecordingStore(recordings_dir)
     cache = EmbeddingCache(cache_dir)
     encoder = HashingEncoderClient(model_id=ENCODER_MODEL, dim=ENCODER_DIM)
 
@@ -233,7 +233,8 @@ def build_corpus(
             transcript = corpus.load_transcript(path)
             prompt = extract.build_extraction_prompt(transcript)
             response = json.dumps(_response_doc(firm_idx, quarter_idx), indent=2)
-            store.put(EXTRACTOR_MODEL, prompt, response)
+            key = extract.RecordingStore.key(EXTRACTOR_MODEL, prompt)
+            (recordings_dir / f"{key}.txt").write_text(response, encoding="utf-8")
 
             parsed = extract.parse_extraction_response(
                 response, len(transcript), firm=firm, period=period

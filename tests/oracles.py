@@ -1,8 +1,10 @@
 """Independent reference computations used to check the real implementations.
 
 These deliberately avoid the code paths they verify: the retention oracle
-is a pure-Python triple loop, and the regression oracle solves the normal
-equations explicitly instead of using a least-squares routine.
+is a pure-Python triple loop, the regression oracle solves the normal
+equations explicitly instead of using a least-squares routine, and the
+returns-join references scan every row and every month instead of using
+the per-firm month index.
 """
 
 from __future__ import annotations
@@ -56,3 +58,51 @@ def random_unit_vectors(rng, count: int, dim: int) -> list[list[float]]:
         raw = rng.standard_normal(dim)
         vectors.append([float(v) for v in raw / np.linalg.norm(raw)])
     return vectors
+
+
+def latest_at_or_before_scan(rows, firm, month):
+    """Most recent row for ``firm`` dated at or before ``month``: a linear scan."""
+
+    best = None
+    for row in rows:
+        if row.firm != firm or row.month > month:
+            continue
+        if best is None or row.month > best.month:
+            best = row
+    return best
+
+
+def calendar_time_returns_loop(assignments, rows):
+    """Month-by-firm scan of quintile holdings over ``Month`` objects.
+
+    Returns ``({quintile: [(month, mean return)]}, {(month, quintile): members})``.
+    Each month, every firm takes its active assignment with the greatest
+    (entry month, period), the first in input order on a tie.
+    """
+
+    returns = {(row.firm, row.month): row.ret for row in rows}
+    per_quintile: dict = {}
+    member_counts: dict = {}
+    if not assignments:
+        return per_quintile, member_counts
+    by_firm: dict = {}
+    for assignment in assignments:
+        by_firm.setdefault(assignment.firm, []).append(assignment)
+    month = min(a.entry_month for a in assignments)
+    last = max(a.exit_month for a in assignments)
+    while month <= last:
+        pooled: dict = {}
+        for firm, firm_assignments in by_firm.items():
+            active = [a for a in firm_assignments if a.entry_month <= month <= a.exit_month]
+            if not active:
+                continue
+            current = max(active, key=lambda a: (a.entry_month, a.period))
+            ret = returns.get((firm, month))
+            if ret is None:
+                continue
+            pooled.setdefault(current.quintile, []).append(ret)
+        for quintile, rets in pooled.items():
+            per_quintile.setdefault(quintile, []).append((month, sum(rets) / len(rets)))
+            member_counts[(month, quintile)] = len(rets)
+        month = month.shift(1)
+    return per_quintile, member_counts

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movingtargets.backtest import (
     FM_REGRESSORS,
@@ -29,9 +31,10 @@ from movingtargets.corpus import (
     ReturnRow,
     ReturnsTable,
     YearQuarter,
+    shift_quarters,
 )
 from movingtargets.score import METHOD_SEMANTIC, MovingTargetsScore
-from oracles import ols_normal_equations
+from oracles import calendar_time_returns_loop, latest_at_or_before_scan, ols_normal_equations
 
 
 def record(firm, year, quarter, value):
@@ -237,6 +240,88 @@ class TestCalendarTimeReturns:
         assert result.series == {}
 
 
+FIRMS = ("A", "B", "C", "D", "E")
+START = Month(2020, 1)
+SPAN_MONTHS = 30
+
+
+@st.composite
+def returns_tables(draw):
+    """Returns for a few firms over 30 months, with any month missing.
+
+    Returns are decimals, so a mean summed in another firm order differs.
+    """
+
+    rows = []
+    for firm in FIRMS:
+        gaps = draw(st.sets(st.integers(0, SPAN_MONTHS - 1)))
+        for offset in (i for i in range(SPAN_MONTHS) if i not in gaps):
+            ret = draw(st.integers(-9_000, 20_000)) / 10_000
+            rows.append(ReturnRow(firm, START.shift(offset), ret, mktcap=100.0, bm=0.5))
+    return ReturnsTable.from_rows(rows)
+
+
+@st.composite
+def assignment_lists(draw):
+    """Every firm's assignments, shuffled: windows of one firm overlap, some
+    run past the last month with returns, and some tie on (entry, period)."""
+
+    # (period, quintile, entry, months held); two quintiles, so that months
+    # often pool three or more firms.
+    window = st.tuples(
+        st.integers(0, 3), st.integers(1, 2), st.integers(0, SPAN_MONTHS + 2), st.integers(0, 24)
+    )
+    items = [
+        (firm, *drawn)
+        for firm in FIRMS
+        for drawn in draw(st.lists(window, min_size=1, max_size=3))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        firm, period, _, entry, _ = draw(st.sampled_from(items))
+        items.append((firm, period, draw(st.integers(1, 2)), entry, draw(st.integers(0, 24))))
+    items = draw(st.permutations(items))
+    return [
+        QuintileAssignment(
+            firm=firm,
+            period=shift_quarters(YearQuarter(2020, 1), period),
+            quintile=quintile,
+            entry_month=START.shift(entry),
+            exit_month=START.shift(entry + held),
+        )
+        for firm, period, quintile, entry, held in items
+    ]
+
+
+property_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@property_settings
+@given(returns_tables(), assignment_lists())
+def test_calendar_time_returns_matches_month_by_firm_loop(returns, assignments):
+    result = calendar_time_returns(assignments, returns)
+    per_quintile, member_counts = calendar_time_returns_loop(assignments, returns.rows)
+    assert {q: list(zip(s.months, s.values)) for q, s in result.series.items()} == per_quintile
+    assert result.member_counts == member_counts
+
+
+@property_settings
+@given(
+    returns_tables(),
+    st.sampled_from(FIRMS + ("Z",)),
+    st.integers(-3, SPAN_MONTHS + 3),
+    st.integers(0, 14),
+)
+def test_returns_index_matches_row_scan(returns, firm, offset, length):
+    month = START.shift(offset)
+    assert returns.latest_at_or_before(firm, month) == latest_at_or_before_scan(
+        returns.rows, firm, month
+    )
+    by_month = {(row.firm, row.month.index): row.ret for row in returns.rows}
+    wanted = [by_month.get((firm, m)) for m in range(month.index - length, month.index + 1)]
+    expected = None if None in wanted else wanted
+    assert returns.span(firm, month.index - length, month.index) == expected
+
+
 class TestOls:
     def test_noiseless_line(self):
         x = np.arange(10, dtype=float)
@@ -274,18 +359,6 @@ class TestOls:
     def test_too_few_observations(self):
         with pytest.raises(InsufficientHistoryError):
             ols([1.0, 2.0], [[1.0, 0.0], [1.0, 1.0]])
-
-    def test_newey_west_changes_standard_errors(self):
-        rng = np.random.default_rng(5)
-        n = 60
-        x = rng.normal(size=n)
-        e = np.convolve(rng.normal(size=n + 3), [0.5, 0.3, 0.2], mode="same")[:n]
-        y = 1.0 + 0.5 * x + e
-        X = np.column_stack([np.ones(n), x])
-        plain = ols(y, X)
-        hac = ols(y, X, nw_lags=3)
-        assert plain.coefficients == pytest.approx(hac.coefficients, abs=1e-12)
-        assert plain.standard_errors != hac.standard_errors
 
 
 class TestFactorAlpha:

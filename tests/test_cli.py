@@ -28,6 +28,12 @@ def read_csv(path):
         return list(csv.DictReader(handle))
 
 
+# One of the small corpus's 3 x 8 transcripts fails.
+PARTIAL_EXTRACTION_LINE = (
+    "error: partial-extraction: 1 of 24 transcripts failed; see extract_diagnostics.json"
+)
+
+
 class TestExtractCommand:
     def test_offline_llm_extraction_writes_one_file_per_call(self, runner, small_corpus, tmp_path):
         out = tmp_path / "out"
@@ -57,6 +63,7 @@ class TestExtractCommand:
             ["extract", "--method", "llm", "--config", str(root / "config.yaml"), "--out-dir", str(out)],
         )
         assert result.exit_code == 1
+        assert result.stderr.splitlines()[-1] == PARTIAL_EXTRACTION_LINE
         diagnostics = json.loads((out / "extract_diagnostics.json").read_text())
         assert any(e["file"] == "AAPL_2019Q1.json" for e in diagnostics["errors"])
         assert len(list((out / "targets").glob("*.llm.json"))) == 23
@@ -72,6 +79,7 @@ class TestExtractCommand:
             ["extract", "--method", "llm", "--config", str(root / "config.yaml"), "--out-dir", str(out)],
         )
         assert result.exit_code == 1
+        assert result.stderr.splitlines()[-1] == PARTIAL_EXTRACTION_LINE
         diagnostics = json.loads((out / "extract_diagnostics.json").read_text())
         assert len(diagnostics["errors"]) == 1
         assert "no recorded response" in diagnostics["errors"][0]["error"]
@@ -84,6 +92,14 @@ class TestExtractCommand:
         # AAPL responses carry two digit items and one percent item per call
         assert tallies["digit"] == 2 * 8
         assert tallies["percent"] == 1 * 8
+
+    def test_unusable_out_dir_is_one_io_error_line(self, runner, small_corpus, tmp_path):
+        regular_file = tmp_path / "file"
+        regular_file.write_text("", encoding="utf-8")
+        result = invoke(runner, small_corpus, "extract", out_dir=regular_file / "sub")
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: io-error: "), result.stderr
 
 
 def run_extract_and_score(runner, corpus, out, *score_args, method="both"):

@@ -15,7 +15,7 @@ from movingtargets.corpus import (
     build_panel,
     call_month,
     compound_return,
-    holding_window,
+    holding_windows,
     load_factors,
     load_returns,
     load_transcript,
@@ -162,7 +162,7 @@ class TestLoadReturns:
         )
         table = load_returns(path)
         assert len(table.rows) == 2
-        assert table.ret("AAPL", Month(2020, 2)) == -0.01
+        assert table.ret("AAPL", Month(2020, 2).index) == -0.01
 
     def test_duplicate_firm_month_rejected(self, tmp_path):
         path = tmp_path / "returns.csv"
@@ -255,21 +255,28 @@ def make_returns(firm, start: Month, rets, mktcap=1000.0, bm=0.5):
     return ReturnsTable.from_rows(rows)
 
 
+def window_months(period, calendar):
+    """``period``'s window, as Months, for a firm that calls in ``calendar``."""
+
+    entry, exit_ = holding_windows(("AAPL", p) for p in calendar)[("AAPL", period)]
+    return Month.from_index(entry), Month.from_index(exit_)
+
+
 class TestHoldingWindow:
     def test_window_runs_to_next_call(self):
-        entry, exit_ = holding_window(
+        entry, exit_ = window_months(
             YearQuarter(2020, 1), [YearQuarter(2020, 1), YearQuarter(2020, 2)]
         )
         assert entry == Month(2020, 4)
         assert exit_ == Month(2020, 6)
 
     def test_without_next_call_holds_three_months(self):
-        entry, exit_ = holding_window(YearQuarter(2020, 1), [YearQuarter(2020, 1)])
+        entry, exit_ = window_months(YearQuarter(2020, 1), [YearQuarter(2020, 1)])
         assert entry == Month(2020, 4)
         assert exit_ == Month(2020, 6)
 
     def test_gap_to_next_call_extends_window(self):
-        entry, exit_ = holding_window(
+        entry, exit_ = window_months(
             YearQuarter(2020, 1), [YearQuarter(2020, 1), YearQuarter(2020, 3)]
         )
         assert entry == Month(2020, 4)

@@ -291,11 +291,11 @@ class TestExtractTargetsLlm:
 
 class TestReplayClient:
     def test_replay_is_deterministic(self, tmp_path):
-        store = RecordingStore(tmp_path)
         transcript = make_transcript()
         prompt = build_extraction_prompt(transcript)
-        store.put("fake-model", prompt, GOOD_RESPONSE)
-        client = ReplayExtractorClient(store, "fake-model")
+        key = RecordingStore.key("fake-model", prompt)
+        (tmp_path / f"{key}.txt").write_text(GOOD_RESPONSE, encoding="utf-8")
+        client = ReplayExtractorClient(RecordingStore(tmp_path), "fake-model")
         first = extract_targets_llm(transcript, client).target_set
         second = extract_targets_llm(transcript, client).target_set
         assert first == second
