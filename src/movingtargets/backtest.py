@@ -170,17 +170,20 @@ def build_assignments(records: Sequence[MovingTargetsScore]) -> AssignmentResult
     if not scored:
         return AssignmentResult(assignments=(), unassignable=0)
     burn_in_end = shift_quarters(min(values_by_period), 4)
-    for record in scored:
-        if record.period < burn_in_end:
-            unassignable += 1
+    cutoffs_by_period: dict[YearQuarter, tuple[float, float, float, float]] = {}
+    for period in values_by_period:
+        if period < burn_in_end:
             continue
         pool: list[float] = []
         for k in range(1, 5):
-            pool.extend(values_by_period.get(shift_quarters(record.period, -k), ()))
-        if len(pool) < MIN_BREAKPOINT_OBSERVATIONS:
+            pool.extend(values_by_period.get(shift_quarters(period, -k), ()))
+        if len(pool) >= MIN_BREAKPOINT_OBSERVATIONS:
+            cutoffs_by_period[period] = quintile_breakpoints(pool)
+    for record in scored:
+        cutoffs = cutoffs_by_period.get(record.period)
+        if cutoffs is None:
             unassignable += 1
             continue
-        cutoffs = quintile_breakpoints(pool)
         entry, exit_ = windows[(record.firm, record.period)]
         assignments.append(
             QuintileAssignment(

@@ -1,9 +1,11 @@
 """Label embeddings: pluggable encoder clients and a file cache.
 
-Vectors are stored exactly as delivered (no pre-normalization); the
-similarity pass in ``score`` handles scaling. The cache holds one plain-text
-file per (model, label) key so cached vectors can be audited and replayed
-offline; write-then-read returns bit-identical values.
+Vectors are stored exactly as delivered (no pre-normalization); ``score``
+stacks the vectors of one model into a matrix and scales each row once. The
+cache holds one plain-text file per (model, label) key so cached vectors can
+be audited and replayed offline; write-then-read returns bit-identical
+values, and an entry that does not parse into a valid vector is reported as
+corrupt.
 """
 
 from __future__ import annotations
@@ -87,8 +89,10 @@ class EmbeddingCache:
         lines = path.read_text(encoding="utf-8").splitlines()
         if len(lines) != 3 or lines[0] != model_id or lines[1] != label:
             raise EmbeddingError(f"corrupt cache entry {path}")
-        values = tuple(float(v) for v in lines[2].split())
-        return EmbeddingVector(values=values, model_id=model_id)
+        try:
+            return EmbeddingVector(values=tuple(map(float, lines[2].split())), model_id=model_id)
+        except ValueError as exc:
+            raise EmbeddingError(f"corrupt cache entry {path}: {exc}") from exc
 
     def put(self, vector: EmbeddingVector, label: str) -> None:
         with self._write_lock:

@@ -16,6 +16,12 @@ four quarters earlier:
 Both directions are available for either method via ``direction``; reports
 must carry the direction label because the two conventions sort firms in
 opposite economic order.
+
+Semantic scoring embeds each distinct label of the corpus once, stacks the
+vectors into one float64 matrix per model and scales every row to unit norm
+once (``unit_rows``). Each firm-quarter pair then takes its current and
+previous rows from that matrix by index, and its similarity matrix is one
+product of unit rows.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import YearQuarter, shift_quarters
-from .embed import DimensionMismatchError, EmbeddingVector
+from .embed import DimensionMismatchError, EmbeddingError, EmbeddingVector
 from .extract import SECTION_PRESENTATION, SECTION_QA, TargetSet, merged_texts
 
 METHOD_SEMANTIC = "semantic"
@@ -76,36 +82,58 @@ class TargetMatch:
 
 @dataclass(frozen=True)
 class EmbeddedTargets:
-    """Merged target texts of one firm-quarter with aligned vectors."""
+    """Merged target texts of one firm-quarter with aligned unit rows."""
 
     firm: str
     period: YearQuarter
     texts: tuple[str, ...]
-    vectors: tuple[EmbeddingVector, ...]
+    units: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.texts) != len(self.vectors):
-            raise ValueError("texts and vectors must align")
+        if self.units.ndim != 2 or len(self.texts) != self.units.shape[0]:
+            raise ValueError("texts and units must align")
 
 
-def similarity_matrix(
-    current: Sequence[EmbeddingVector], previous: Sequence[EmbeddingVector]
-) -> np.ndarray:
-    """All pairwise cosine similarities, rows = current, columns = previous."""
+def unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
+    """Stack ``vectors`` into one float64 matrix whose rows have unit norm.
 
-    dims = {v.dim for v in current} | {v.dim for v in previous}
+    Each row's norm is reduced on its own, so no temporary the size of the
+    matrix is made; a row's norm has the same bits as in a norm taken over
+    the rows of any set that holds it. Raises ``DimensionMismatchError`` for
+    vectors of different lengths and ``EmbeddingError`` for a zero or
+    non-finite norm.
+    """
+
+    dims = {v.dim for v in vectors}
     if len(dims) > 1:
         raise DimensionMismatchError(f"inconsistent vector dimensions: {sorted(dims)}")
-    if not current or not previous:
-        return np.zeros((len(current), len(previous)))
+    matrix = np.empty((len(vectors), dims.pop() if dims else 0))
+    norms = np.empty((len(vectors), 1))
+    # A norm that overflows is rejected below as not finite.
+    with np.errstate(over="ignore"):
+        for i, vector in enumerate(vectors):
+            matrix[i] = vector.values
+            norms[i] = np.linalg.norm(matrix[i : i + 1], axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+    if bad.size:
+        i = int(bad[0])
+        raise EmbeddingError(
+            f"embedding vector {i} of {len(vectors)} has norm {float(norms[i, 0])}"
+        )
+    matrix /= norms
+    return matrix
 
-    cur = np.asarray([v.values for v in current], dtype=float)
-    prev = np.asarray([v.values for v in previous], dtype=float)
-    cur_norm = np.linalg.norm(cur, axis=1, keepdims=True)
-    prev_norm = np.linalg.norm(prev, axis=1, keepdims=True)
-    if np.any(cur_norm == 0.0) or np.any(prev_norm == 0.0):
-        raise ValueError("zero-norm vector in similarity matrix")
-    return (cur / cur_norm) @ (prev / prev_norm).T
+
+def similarity_matrix(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """All pairwise cosine similarities of unit rows, rows = current, columns = previous."""
+
+    if not len(current) or not len(previous):
+        return np.zeros((len(current), len(previous)))
+    if current.shape[1] != previous.shape[1]:
+        raise DimensionMismatchError(
+            f"inconsistent vector dimensions: {sorted({current.shape[1], previous.shape[1]})}"
+        )
+    return current @ previous.T
 
 
 def max_pool(matrix: np.ndarray) -> list[float]:
@@ -162,7 +190,7 @@ def semantic_mt_score(
         retention = 0.0
         matches = tuple(TargetMatch(label, None, False) for label in previous.texts)
     else:
-        matrix = similarity_matrix(current.vectors, previous.vectors)
+        matrix = similarity_matrix(current.units, previous.units)
         pooled = max_pool(matrix)
         thresholded = [apply_threshold(s, tau) for s in pooled]
         retention = sum(thresholded) / n_prev
@@ -252,20 +280,17 @@ Embedder = Callable[[Sequence[str]], list[EmbeddingVector]]
 
 def _embed_sets(
     target_sets: Sequence[TargetSet], embedder: Embedder
-) -> Mapping[tuple[str, YearQuarter], EmbeddedTargets]:
+) -> tuple[np.ndarray, Mapping[tuple[str, YearQuarter], tuple[tuple[str, ...], np.ndarray]]]:
+    """Unit rows of the distinct labels, and each set's texts with their row indices."""
+
     texts_by_set = {
         (ts.firm, ts.period): merged_texts(ts) for ts in target_sets
     }
     unique_texts = sorted({text for texts in texts_by_set.values() for text in texts})
-    vectors = embedder(unique_texts) if unique_texts else []
-    by_text = dict(zip(unique_texts, vectors))
-    return {
-        key: EmbeddedTargets(
-            firm=key[0],
-            period=key[1],
-            texts=texts,
-            vectors=tuple(by_text[text] for text in texts),
-        )
+    units = unit_rows(embedder(unique_texts) if unique_texts else [])
+    row_of = {text: i for i, text in enumerate(unique_texts)}
+    return units, {
+        key: (texts, np.array([row_of[text] for text in texts], dtype=np.intp))
         for key, texts in texts_by_set.items()
     }
 
@@ -300,9 +325,13 @@ def score_corpus(
             raise ValueError(f"duplicate target set for {ts.firm} {ts.period}")
         by_key[key] = ts
 
-    embedded: Mapping[tuple[str, YearQuarter], EmbeddedTargets] = {}
-    if method == METHOD_SEMANTIC and by_key:
-        embedded = _embed_sets(list(by_key.values()), embedder)
+    units, rows_by_set = np.empty((0, 0)), {}
+    if method == METHOD_SEMANTIC:
+        units, rows_by_set = _embed_sets(list(by_key.values()), embedder)
+
+    def embedded(key: tuple[str, YearQuarter]) -> EmbeddedTargets:
+        texts, rows = rows_by_set[key]
+        return EmbeddedTargets(firm=key[0], period=key[1], texts=texts, units=units[rows])
 
     records: list[MovingTargetsScore] = []
     matches: list[CorpusMatch] = []
@@ -347,8 +376,8 @@ def score_corpus(
 
         if method == METHOD_SEMANTIC:
             record, pair_matches = semantic_mt_score(
-                embedded[key],
-                embedded[prev_key],
+                embedded(key),
+                embedded(prev_key),
                 tau,
                 direction=direction,
                 empty_current=empty_current,

@@ -1,10 +1,13 @@
 """Independent reference computations used to check the real implementations.
 
 These deliberately avoid the code paths they verify: the retention oracle
-is a pure-Python triple loop, the regression oracle solves the normal
+is a pure-Python triple loop, the per-pair similarity reference rebuilds
+and normalises each pair's vectors instead of indexing one matrix of unit
+rows, the quintile reference recomputes the breakpoints for every record
+instead of once per period, the regression oracle solves the normal
 equations explicitly instead of using a least-squares routine, and the
-returns-join references scan every row and every month instead of using
-the per-firm month index.
+returns-join references scan every row and every month instead of using the
+per-firm month index.
 """
 
 from __future__ import annotations
@@ -33,6 +36,77 @@ def semantic_retention_oracle(current, previous, tau) -> float:
                 best = similarity
         total += 1.0 if best >= tau else best
     return total / len(previous)
+
+
+def similarity_matrix_per_pair(current, previous):
+    """Cosine similarities of two lists of ``EmbeddingVector``s, built per pair.
+
+    Both sides are converted from their tuples of floats, normalised by
+    their own row norms and multiplied: rows = current, columns = previous.
+    """
+
+    if not current or not previous:
+        return np.zeros((len(current), len(previous)))
+    cur = np.asarray([v.values for v in current], dtype=float)
+    prev = np.asarray([v.values for v in previous], dtype=float)
+    cur_norm = np.linalg.norm(cur, axis=1, keepdims=True)
+    prev_norm = np.linalg.norm(prev, axis=1, keepdims=True)
+    return (cur / cur_norm) @ (prev / prev_norm).T
+
+
+def semantic_pair_per_pair(current, previous, tau, empty_current_zero):
+    """(retention, best similarities) of one pair through the per-pair path.
+
+    ``current`` and ``previous`` are lists of ``EmbeddingVector``s; with no
+    current vectors, the zero rule gives retention 0 and no similarities,
+    and the penalty rule pools every prior target to -1.
+    """
+
+    if not current and empty_current_zero:
+        return 0.0, [None] * len(previous)
+    matrix = similarity_matrix_per_pair(current, previous)
+    if not current:
+        pooled = [-1.0] * len(previous)
+    else:
+        pooled = [float(v) for v in matrix.max(axis=0)]
+    return sum(1.0 if s >= tau else s for s in pooled) / len(previous), pooled
+
+
+def quintiles_per_record(records):
+    """``([(firm, period, quintile)], unassignable)`` of scored records.
+
+    For every record, pools the score values of the four quarters before its
+    own, takes the 20/40/60/80th percentiles of the pool and puts the record
+    in the first quintile whose cutoff its value does not exceed. Records in
+    the first four quarters after the earliest score, or with fewer than
+    five pooled values, are unassignable.
+    """
+
+    def index(period):
+        return period.year * 4 + period.quarter - 1
+
+    values_by_quarter: dict = {}
+    for record in records:
+        if record.value is not None:
+            values_by_quarter.setdefault(index(record.period), []).append(record.value)
+    scored = sorted(
+        (r for r in records if r.value is not None), key=lambda r: (r.firm, r.period)
+    )
+    if not scored:
+        return [], 0
+    burn_in_end = min(values_by_quarter) + 4
+    assigned = []
+    unassignable = 0
+    for record in scored:
+        quarter = index(record.period)
+        pool = [v for k in range(1, 5) for v in values_by_quarter.get(quarter - k, ())]
+        if quarter < burn_in_end or len(pool) < 5:
+            unassignable += 1
+            continue
+        cutoffs = np.percentile(np.asarray(pool, dtype=float), [20, 40, 60, 80])
+        quintile = next((q for q, c in enumerate(cutoffs, start=1) if record.value <= c), 5)
+        assigned.append((record.firm, record.period, quintile))
+    return assigned, unassignable
 
 
 def ols_normal_equations(y, X):

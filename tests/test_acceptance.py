@@ -53,6 +53,7 @@ from movingtargets.score import (
     discrete_mt_score,
     score_corpus,
     semantic_mt_score,
+    unit_rows,
 )
 from oracles import random_unit_vectors, semantic_retention_oracle
 
@@ -66,7 +67,7 @@ Q_PREV = YearQuarter(2020, 2)
 def embedded(rows, period=Q, prefix="t"):
     texts = tuple(f"{prefix}{i}" for i in range(len(rows)))
     vectors = tuple(EmbeddingVector(tuple(map(float, row)), "m") for row in rows)
-    return EmbeddedTargets(firm="F", period=period, texts=texts, vectors=vectors)
+    return EmbeddedTargets(firm="F", period=period, texts=texts, units=unit_rows(vectors))
 
 
 def label_set(texts, period=Q, firm="F", section="presentation"):
@@ -123,7 +124,7 @@ def test_criterion_4_identity_and_degenerate_cases():
     identical, _ = semantic_mt_score(embedded(rows), embedded(rows, period=Q_PREV), 0.65)
     assert identical.value == 1.0
 
-    empty_current = EmbeddedTargets(firm="F", period=Q, texts=(), vectors=())
+    empty_current = EmbeddedTargets(firm="F", period=Q, texts=(), units=unit_rows(()))
     previous = embedded([(1.0, 0.0), (0.0, 1.0)], period=Q_PREV)
     penalized, _ = semantic_mt_score(empty_current, previous, 0.65)
     assert penalized.value == -1.0

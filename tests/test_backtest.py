@@ -34,7 +34,12 @@ from movingtargets.corpus import (
     shift_quarters,
 )
 from movingtargets.score import METHOD_SEMANTIC, MovingTargetsScore
-from oracles import calendar_time_returns_loop, latest_at_or_before_scan, ols_normal_equations
+from oracles import (
+    calendar_time_returns_loop,
+    latest_at_or_before_scan,
+    ols_normal_equations,
+    quintiles_per_record,
+)
 
 
 def record(firm, year, quarter, value):
@@ -320,6 +325,29 @@ def test_returns_index_matches_row_scan(returns, firm, offset, length):
     wanted = [by_month.get((firm, m)) for m in range(month.index - length, month.index + 1)]
     expected = None if None in wanted else wanted
     assert returns.span(firm, month.index - length, month.index) == expected
+
+
+@st.composite
+def score_records(draw):
+    """Scores of five firms over up to 16 quarters, shuffled: any quarter may
+    be missing or unscored, and values repeat, so some equal a cutoff."""
+
+    records = []
+    for firm in FIRMS:
+        for quarter in draw(st.sets(st.integers(0, 15))):
+            period = shift_quarters(YearQuarter(2020, 1), quarter)
+            value = draw(st.none() | st.integers(0, 10).map(lambda v: v / 10))
+            records.append(record(firm, period.year, period.quarter, value))
+    return draw(st.permutations(records))
+
+
+@property_settings
+@given(score_records())
+def test_build_assignments_matches_per_record_breakpoints(records):
+    result = build_assignments(records)
+    assigned, unassignable = quintiles_per_record(records)
+    assert [(a.firm, a.period, a.quintile) for a in result.assignments] == assigned
+    assert result.unassignable == unassignable
 
 
 class TestOls:

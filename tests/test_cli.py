@@ -9,7 +9,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusgen import ENCODER_MODEL
 from movingtargets.cli import main
+from movingtargets.embed import EmbeddingCache
 
 
 @pytest.fixture()
@@ -395,6 +397,38 @@ def test_malformed_input_gives_one_error_line_and_keeps_outputs(
     assert isinstance(result.exception, SystemExit)
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith(f"error: {code}: ")
+    assert snapshot(out) == before
+
+
+CORRUPT_CACHE_VECTORS = {
+    "non-numeric-token": lambda tokens: ["abc", *tokens[1:]],
+    "empty-vector-line": lambda tokens: [],
+    "all-zero-vector": lambda tokens: ["0.0"] * len(tokens),
+    "nan-component": lambda tokens: ["nan", *tokens[1:]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_CACHE_VECTORS))
+def test_corrupt_cache_entry_gives_one_error_line_and_keeps_outputs(
+    full_corpus, pipeline_out, tmp_path, case
+):
+    root = tmp_path / "corpus"
+    shutil.copytree(full_corpus.root, root)
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    label = next(r["label"] for r in read_csv(out / "score_matches.csv") if r["method"] == "semantic")
+    entry = root / "embedding_cache" / f"{EmbeddingCache.key(ENCODER_MODEL, label)}.txt"
+    model_id, cached_label, vector = entry.read_text(encoding="utf-8").splitlines()
+    tokens = CORRUPT_CACHE_VECTORS[case](vector.split())
+    entry.write_text("\n".join([model_id, cached_label, " ".join(tokens)]) + "\n", encoding="utf-8")
+    before = snapshot(out)
+    result = CliRunner().invoke(
+        main, ["score", "--config", str(root / "config.yaml"), "--out-dir", str(out)]
+    )
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: embedding-error: "), result.stderr
     assert snapshot(out) == before
 
 

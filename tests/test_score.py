@@ -4,13 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from movingtargets.corpus import YearQuarter
-from movingtargets.embed import EmbeddingVector, HashingEncoderClient
-from movingtargets.extract import TargetLabel, TargetSet
+from movingtargets.corpus import YearQuarter, shift_quarters
+from movingtargets.embed import (
+    DimensionMismatchError,
+    EmbeddingError,
+    EmbeddingVector,
+    HashingEncoderClient,
+)
+from movingtargets.extract import SECTIONS, TargetLabel, TargetSet, merged_texts
 from movingtargets.score import (
     DIRECTION_MISSING,
     DIRECTION_RETENTION,
+    EMPTY_CURRENT_PENALIZE,
     EMPTY_CURRENT_ZERO,
     METHOD_DISCRETE,
     METHOD_SEMANTIC,
@@ -22,8 +30,9 @@ from movingtargets.score import (
     score_corpus,
     semantic_mt_score,
     similarity_matrix,
+    unit_rows,
 )
-from oracles import semantic_retention_oracle, random_unit_vectors
+from oracles import random_unit_vectors, semantic_pair_per_pair, semantic_retention_oracle
 
 Q = YearQuarter(2021, 2)
 Q_PREV = YearQuarter(2020, 2)
@@ -33,9 +42,13 @@ def vectors(rows, model_id="m"):
     return tuple(EmbeddingVector(tuple(float(v) for v in row), model_id) for row in rows)
 
 
+def units(rows):
+    return unit_rows(vectors(rows))
+
+
 def embedded(rows, firm="F", period=Q, prefix="t"):
     texts = tuple(f"{prefix}{i}" for i in range(len(rows)))
-    return EmbeddedTargets(firm=firm, period=period, texts=texts, vectors=vectors(rows))
+    return EmbeddedTargets(firm=firm, period=period, texts=texts, units=units(rows))
 
 
 def label_set(texts_by_section, firm="F", period=Q, method="llm"):
@@ -49,21 +62,21 @@ def label_set(texts_by_section, firm="F", period=Q, method="llm"):
 class TestSimilarityMatrix:
     def test_identity_patterned(self):
         basis = [(1.0, 0.0), (0.0, 1.0)]
-        matrix = similarity_matrix(vectors(basis), vectors(basis))
+        matrix = similarity_matrix(units(basis), units(basis))
         assert np.allclose(matrix, np.eye(2), atol=1e-12)
 
     def test_degenerate_empty_current(self):
-        matrix = similarity_matrix((), vectors([(1, 0), (0, 1)]))
+        matrix = similarity_matrix(units(()), units([(1, 0), (0, 1)]))
         assert matrix.shape == (0, 2)
 
     def test_hand_cosine_row(self):
-        matrix = similarity_matrix(vectors([(1, 1)]), vectors([(1, 0), (0, 1)]))
+        matrix = similarity_matrix(units([(1, 1)]), units([(1, 0), (0, 1)]))
         assert matrix.shape == (1, 2)
         assert matrix[0, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert matrix[0, 1] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_rows_are_current_columns_previous(self):
-        matrix = similarity_matrix(vectors([(1, 0), (0, 1), (1, 1)]), vectors([(1, 0)]))
+        matrix = similarity_matrix(units([(1, 0), (0, 1), (1, 1)]), units([(1, 0)]))
         assert matrix.shape == (3, 1)
 
 
@@ -113,14 +126,14 @@ class TestSemanticScore:
 
     def test_empty_current_defaults_to_penalty(self):
         previous = embedded([(1, 0), (0, 1)], period=Q_PREV)
-        current = EmbeddedTargets(firm="F", period=Q, texts=(), vectors=())
+        current = EmbeddedTargets(firm="F", period=Q, texts=(), units=units(()))
         score, matches = semantic_mt_score(current, previous, 0.65)
         assert score.value == -1.0
         assert [m.best_similarity for m in matches] == [-1.0, -1.0]
 
     def test_empty_current_zero_rule(self):
         previous = embedded([(1, 0), (0, 1)], period=Q_PREV)
-        current = EmbeddedTargets(firm="F", period=Q, texts=(), vectors=())
+        current = EmbeddedTargets(firm="F", period=Q, texts=(), units=units(()))
         score, _ = semantic_mt_score(current, previous, 0.65, empty_current=EMPTY_CURRENT_ZERO)
         assert score.value == 0.0
 
@@ -134,7 +147,7 @@ class TestSemanticScore:
         assert missing.direction == DIRECTION_MISSING
 
     def test_empty_previous_is_undefined(self):
-        previous = EmbeddedTargets(firm="F", period=Q_PREV, texts=(), vectors=())
+        previous = EmbeddedTargets(firm="F", period=Q_PREV, texts=(), units=units(()))
         with pytest.raises(UndefinedScoreError):
             semantic_mt_score(embedded([(1, 0)]), previous, 0.65)
 
@@ -250,8 +263,6 @@ def hash_embedder(texts):
 
 
 def quarterly_sets(firm, texts_by_quarter, start=YearQuarter(2020, 1)):
-    from movingtargets.corpus import shift_quarters
-
     sets = []
     period = start
     for texts in texts_by_quarter:
@@ -332,3 +343,127 @@ class TestScoreCorpus:
         assert values == [0.0, 0.5]
         assert result.summary.mean == pytest.approx(0.25)
         assert result.summary.sd == pytest.approx(np.std(values, ddof=1))
+
+
+property_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+LABEL_POOL = tuple(f"target {chr(97 + i)}" for i in range(8))
+
+
+@st.composite
+def semantic_corpora(draw):
+    """Target sets of two firms over up to nine quarters, some missing, with
+    vectors of random length for every label of a small pool.
+
+    Labels recur across firm-quarters and between the two sections of one
+    set, and some sets are empty, on either side of a pair.
+    """
+
+    dim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = {
+        label: EmbeddingVector(
+            tuple(float(v) for v in rng.standard_normal(dim) * rng.uniform(0.1, 10.0)), "m"
+        )
+        for label in LABEL_POOL
+    }
+    sets = []
+    for firm in ("A", "B"):
+        for quarter in sorted(draw(st.sets(st.integers(0, 8), min_size=1))):
+            labels = tuple(
+                TargetLabel(text, section, 0)
+                for section in SECTIONS
+                for text in draw(st.lists(st.sampled_from(LABEL_POOL), unique=True, max_size=4))
+            )
+            period = shift_quarters(YearQuarter(2020, 1), quarter)
+            sets.append(TargetSet(firm=firm, period=period, labels=labels, method="llm"))
+    return draw(st.permutations(sets)), vectors
+
+
+@property_settings
+@given(
+    semantic_corpora(),
+    st.sampled_from([0.5, 0.65, 0.9]),
+    st.sampled_from([EMPTY_CURRENT_PENALIZE, EMPTY_CURRENT_ZERO]),
+    st.sampled_from([DIRECTION_RETENTION, DIRECTION_MISSING]),
+)
+def test_score_corpus_matches_per_pair_reference(corpus, tau, empty_current, direction):
+    target_sets, vectors = corpus
+    result = score_corpus(
+        target_sets,
+        tau,
+        METHOD_SEMANTIC,
+        embedder=lambda texts: [vectors[text] for text in texts],
+        direction=direction,
+        empty_current=empty_current,
+    )
+    texts_by_key = {(ts.firm, ts.period): merged_texts(ts) for ts in target_sets}
+    assert [(r.firm, r.period) for r in result.records] == sorted(texts_by_key)
+    matches = iter(result.matches)
+    for record in result.records:
+        current = texts_by_key[(record.firm, record.period)]
+        previous = texts_by_key.get((record.firm, shift_quarters(record.period, -4)))
+        if not previous:
+            assert record.value is None
+            continue
+        cur_vectors = [vectors[text] for text in current]
+        prev_vectors = [vectors[text] for text in previous]
+        retention, pooled = semantic_pair_per_pair(
+            cur_vectors, prev_vectors, tau, empty_current == EMPTY_CURRENT_ZERO
+        )
+        expected = retention if direction == DIRECTION_RETENTION else 1.0 - retention
+        assert record.value == expected
+        assert (record.n_prev, record.n_curr) == (len(previous), len(current))
+        pair_matches = [next(matches) for _ in previous]
+        assert [m.label for m in pair_matches] == list(previous)
+        assert [m.best_similarity for m in pair_matches] == pooled
+        if current or empty_current == EMPTY_CURRENT_PENALIZE:
+            oracle = semantic_retention_oracle(
+                [v.values for v in cur_vectors], [v.values for v in prev_vectors], tau
+            )
+            assert abs(retention - oracle) <= 1e-9
+    assert next(matches, None) is None
+
+
+def integer_vectors(dim, min_size=0):
+    component = st.integers(-1000, 1000).map(lambda v: v / 7)
+    row = st.lists(component, min_size=dim, max_size=dim).filter(any)
+    return st.lists(row.map(lambda r: EmbeddingVector(tuple(r), "m")), min_size=min_size, max_size=6)
+
+
+@property_settings
+@given(st.integers(1, 6).flatmap(integer_vectors))
+def test_unit_rows_are_the_per_set_normalised_rows(vectors):
+    units = unit_rows(vectors)
+    assert units.shape == (len(vectors), vectors[0].dim if vectors else 0)
+    assert np.allclose(np.linalg.norm(units, axis=1), 1.0, rtol=0.0, atol=1e-12)
+    if vectors:
+        stacked = np.asarray([v.values for v in vectors], dtype=float)
+        assert np.array_equal(units, stacked / np.linalg.norm(stacked, axis=1, keepdims=True))
+
+
+@property_settings
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True), st.data())
+def test_unit_rows_rejects_mixed_dimensions(dims, data):
+    vectors = [v for dim in dims for v in data.draw(integer_vectors(dim, min_size=1))]
+    with pytest.raises(DimensionMismatchError):
+        unit_rows(data.draw(st.permutations(vectors)))
+
+
+def bad_row(dim):
+    """A row whose norm is 0 (every square underflows) or not finite."""
+
+    underflow = st.just((1e-200,) * dim)
+    non_finite = st.tuples(
+        st.integers(0, dim - 1), st.sampled_from([math.nan, math.inf, -math.inf, 1e200])
+    ).map(lambda bad: tuple(bad[1] if i == bad[0] else 1.0 for i in range(dim)))
+    return (underflow | non_finite).map(lambda row: EmbeddingVector(row, "m"))
+
+
+@property_settings
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(integer_vectors(dim), bad_row(dim))), st.data())
+def test_unit_rows_rejects_zero_or_non_finite_norms(vectors_and_bad_row, data):
+    vectors, bad = vectors_and_bad_row
+    vectors.insert(data.draw(st.integers(0, len(vectors))), bad)
+    with pytest.raises(EmbeddingError, match="norm"):
+        unit_rows(vectors)
