@@ -32,6 +32,7 @@ Exit 2: ``invalid-config``. Exit 1: ``missing-transcripts``,
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -121,10 +122,6 @@ def _targets_dir(config: RunConfig) -> Path:
     return config.out_dir / "targets"
 
 
-def _target_set_path(targets_dir: Path, firm: str, period: corpus.YearQuarter, method: str) -> Path:
-    return targets_dir / f"{firm}_{_period_tag(period)}.{method}.json"
-
-
 # ---------------------------------------------------------------------------
 # file layer: every output goes through _atomic_write, every input through
 # _read_csv or _read_json
@@ -196,7 +193,10 @@ def _read_json(path: Path, code: str, parse: Callable[[Any], T]) -> T:
         raise CliError(code, f"{path.name}: {exc}") from exc
 
 
-def _write_target_set(path: Path, target_set: extract.TargetSet) -> None:
+def _write_target_set(targets_dir: Path, target_set: extract.TargetSet) -> str:
+    """Write ``target_set`` under ``targets_dir`` and return the file's name."""
+
+    name = f"{target_set.firm}_{_period_tag(target_set.period)}.{target_set.method}.json"
     payload = {
         "firm": target_set.firm,
         "year": target_set.period.year,
@@ -207,7 +207,8 @@ def _write_target_set(path: Path, target_set: extract.TargetSet) -> None:
             for label in target_set.labels
         ],
     }
-    _write_json(path, payload)
+    _write_json(targets_dir / name, payload)
+    return name
 
 
 def _parse_target_set(doc: Any) -> extract.TargetSet:
@@ -270,16 +271,12 @@ def cmd_extract(config: RunConfig, extraction_methods: Sequence[str]) -> None:
             errors.append({"file": path.name, "error": str(exc).replace(str(path), path.name)})
 
     violations: dict[str, Counter] = {m: Counter() for m in extraction_methods}
-    written = 0
+    written: set[str] = set()
 
     if extract.METHOD_BASELINE in extraction_methods:
         for transcript in transcripts:
             target_set = extract.extract_targets_baseline(transcript)
-            _write_target_set(
-                _target_set_path(targets_dir, transcript.firm, transcript.period, "baseline"),
-                target_set,
-            )
-            written += 1
+            written.add(_write_target_set(targets_dir, target_set))
 
     if extract.METHOD_LLM in extraction_methods:
         client = _build_extractor_client(config)
@@ -302,16 +299,18 @@ def cmd_extract(config: RunConfig, extraction_methods: Sequence[str]) -> None:
                 )
                 continue
             violations[extract.METHOD_LLM].update(outcome.violations)
-            _write_target_set(
-                _target_set_path(targets_dir, transcript.firm, transcript.period, "llm"),
-                outcome.target_set,
-            )
-            written += 1
+            written.add(_write_target_set(targets_dir, outcome.target_set))
+
+    # Sets of transcripts that are gone, or failed this time, must not be scored.
+    for method in extraction_methods:
+        for path in targets_dir.glob(f"*.{method}.json"):
+            if path.name not in written:
+                path.unlink()
 
     diagnostics = {
         "transcripts": len(files),
         "parsed": len(transcripts),
-        "written": written,
+        "written": len(written),
         "errors": sorted(errors, key=lambda e: (e["file"], e["error"])),
         "dropped_label_violations": {
             method: dict(sorted(counts.items())) for method, counts in violations.items()
@@ -319,7 +318,7 @@ def cmd_extract(config: RunConfig, extraction_methods: Sequence[str]) -> None:
     }
     _write_json(config.out_dir / "extract_diagnostics.json", diagnostics)
     click.echo(
-        f"extract: {written} target-set files from {len(transcripts)} transcripts "
+        f"extract: {len(written)} target-set files from {len(transcripts)} transcripts "
         f"({len(errors)} errors)"
     )
     if errors:
@@ -379,15 +378,11 @@ def _read_scores_csv(path: Path, directions: dict[str, str]) -> list[score.Movin
             tau=float(row["tau"]) if row["tau"] else None,
             n_prev=int(row["n_prev"]) if row["n_prev"] else None,
             n_curr=int(row["n_curr"]) if row["n_curr"] else None,
-            direction=directions.get(method, _default_direction(method)),
+            direction=directions.get(method, score.default_direction(method)),
             skipped_reason=row["skipped_reason"] or None,
         )
 
     return _read_csv(path, SCORES_CSV_HEADER, "malformed-score-table", parse)
-
-
-def _default_direction(method: str) -> str:
-    return score.DIRECTION_RETENTION if method == score.METHOD_SEMANTIC else score.DIRECTION_MISSING
 
 
 def cmd_score(config: RunConfig, extraction_methods: Sequence[str]) -> None:
@@ -449,21 +444,13 @@ def cmd_score(config: RunConfig, extraction_methods: Sequence[str]) -> None:
         ),
     )
 
-    summary_payload = {
-        method: {
-            "direction": s.direction,
-            "tau": s.tau,
-            "scoreable": s.scoreable,
-            "skipped": s.skipped,
-            "mean": s.mean,
-            "sd": s.sd,
-            "targets_per_call": s.targets_per_call,
-            "presentation_per_call": s.presentation_per_call,
-            "qa_per_call": s.qa_per_call,
-        }
-        for method, s in summaries.items()
-    }
-    _write_json(config.out_dir / "score_summary.json", summary_payload)
+    _write_json(
+        config.out_dir / "score_summary.json",
+        {
+            method: {k: v for k, v in dataclasses.asdict(s).items() if k != "method"}
+            for method, s in summaries.items()
+        },
+    )
 
     for method in sorted(summaries):
         s = summaries[method]
@@ -595,7 +582,7 @@ def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> None:
 
         meta[method] = {
             "extraction_method": SCORING_TO_EXTRACTION[method],
-            "direction": directions.get(method, _default_direction(method)),
+            "direction": directions.get(method, score.default_direction(method)),
             "direction_note": DIRECTION_NOTE,
             "spread_convention": SPREAD_CONVENTION,
             "spread_months": len(spread),

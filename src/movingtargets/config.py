@@ -7,8 +7,10 @@ are never part of the file; they come from the environment
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any, Callable
 
 import yaml
 
@@ -18,9 +20,6 @@ from .score import EMPTY_CURRENT_PENALIZE, EMPTY_CURRENT_ZERO
 EXTRACTOR_API_KEY_ENV = "MOVINGTARGETS_EXTRACTOR_API_KEY"
 ENCODER_API_KEY_ENV = "MOVINGTARGETS_ENCODER_API_KEY"
 
-DEFAULT_EXTRACTOR_MODEL = "gemini-2.5-pro"
-DEFAULT_ENCODER_MODEL = "text-embedding-3-large"
-
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
@@ -28,7 +27,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExtractorSettings:
-    model_id: str = DEFAULT_EXTRACTOR_MODEL
+    model_id: str = "gemini-2.5-pro"
     endpoint: str | None = None
     recordings_dir: Path | None = None
     parallelism: int = 4
@@ -37,7 +36,7 @@ class ExtractorSettings:
 
 @dataclass(frozen=True)
 class EncoderSettings:
-    model_id: str = DEFAULT_ENCODER_MODEL
+    model_id: str = "text-embedding-3-large"
     endpoint: str | None = None
     cache_dir: Path | None = None
     batch_size: int = 128
@@ -48,7 +47,7 @@ class RunConfig:
     transcripts_dir: Path
     returns_file: Path
     factors_file: Path
-    out_dir: Path
+    out_dir: Path = Path("out")
     tau: float = DEFAULT_TAU
     direction: str | None = None
     empty_current: str = EMPTY_CURRENT_PENALIZE
@@ -82,17 +81,63 @@ class RunConfig:
         return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _expect_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
-
-
 def _path(base: Path, value: object, key: str) -> Path:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{key} must be a non-empty path string")
     path = Path(value)
     return path if path.is_absolute() else base / path
+
+
+# How each field is read; a field named nowhere is taken as written. A
+# ``Path`` field, and its default, is resolved against the config file's
+# directory.
+_PARSE: dict[str, Callable[[Any], Any]] = {
+    "transcripts_dir": Path,
+    "returns_file": Path,
+    "factors_file": Path,
+    "out_dir": Path,
+    "tau": float,
+    "empty_current": str,
+    "offline": bool,
+    "model_id": str,
+    "recordings_dir": Path,
+    "parallelism": int,
+    "rate_limit": lambda value: None if value is None else float(value),
+    "cache_dir": Path,
+    "batch_size": int,
+}
+
+
+def _load(cls: type, doc: dict, base: Path, section: str | None = None) -> Any:
+    """Build ``cls`` from ``doc``: its fields are the allowed keys, the fields
+    without a default the required ones, and the dataclass holds the defaults.
+
+    A field whose default is a dataclass is a nested section; sections are
+    checked before the values of the fields around them are parsed.
+    """
+
+    fields = sorted(dataclasses.fields(cls), key=lambda f: not dataclasses.is_dataclass(f.default))
+    unknown = set(doc) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"unknown {section or 'config'} keys: {', '.join(sorted(unknown))}")
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in doc:
+            raise ConfigError(f"missing required config key {f.name!r}")
+
+    values: dict[str, Any] = {}
+    for f in fields:
+        parse = _PARSE.get(f.name, lambda value: value)
+        if dataclasses.is_dataclass(f.default):
+            nested = doc.get(f.name) or {}
+            if not isinstance(nested, dict):
+                raise ConfigError(f"{f.name} section must be a mapping")
+            values[f.name] = _load(type(f.default), nested, base, f.name)
+        elif parse is Path and (f.name in doc or f.default is not None):
+            key = f"{section}.{f.name}" if section else f.name
+            values[f.name] = _path(base, doc.get(f.name, str(f.default)), key)
+        elif f.name in doc:
+            values[f.name] = parse(doc[f.name])
+    return cls(**values)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -105,80 +150,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be a mapping: {path}")
-
-    base = path.resolve().parent
-    _expect_keys(
-        doc,
-        {
-            "transcripts_dir",
-            "returns_file",
-            "factors_file",
-            "out_dir",
-            "tau",
-            "direction",
-            "empty_current",
-            "offline",
-            "extractor",
-            "encoder",
-        },
-        "config",
-    )
-    for required in ("transcripts_dir", "returns_file", "factors_file"):
-        if required not in doc:
-            raise ConfigError(f"missing required config key {required!r}")
-
-    extractor_doc = doc.get("extractor") or {}
-    if not isinstance(extractor_doc, dict):
-        raise ConfigError("extractor section must be a mapping")
-    _expect_keys(
-        extractor_doc,
-        {"model_id", "endpoint", "recordings_dir", "parallelism", "rate_limit"},
-        "extractor",
-    )
-    encoder_doc = doc.get("encoder") or {}
-    if not isinstance(encoder_doc, dict):
-        raise ConfigError("encoder section must be a mapping")
-    _expect_keys(encoder_doc, {"model_id", "endpoint", "cache_dir", "batch_size"}, "encoder")
-
     try:
-        extractor = ExtractorSettings(
-            model_id=str(extractor_doc.get("model_id", DEFAULT_EXTRACTOR_MODEL)),
-            endpoint=extractor_doc.get("endpoint"),
-            recordings_dir=(
-                _path(base, extractor_doc["recordings_dir"], "extractor.recordings_dir")
-                if "recordings_dir" in extractor_doc
-                else None
-            ),
-            parallelism=int(extractor_doc.get("parallelism", 4)),
-            rate_limit=(
-                float(extractor_doc["rate_limit"])
-                if extractor_doc.get("rate_limit") is not None
-                else None
-            ),
-        )
-        encoder = EncoderSettings(
-            model_id=str(encoder_doc.get("model_id", DEFAULT_ENCODER_MODEL)),
-            endpoint=encoder_doc.get("endpoint"),
-            cache_dir=(
-                _path(base, encoder_doc["cache_dir"], "encoder.cache_dir")
-                if "cache_dir" in encoder_doc
-                else None
-            ),
-            batch_size=int(encoder_doc.get("batch_size", 128)),
-        )
-        return RunConfig(
-            transcripts_dir=_path(base, doc["transcripts_dir"], "transcripts_dir"),
-            returns_file=_path(base, doc["returns_file"], "returns_file"),
-            factors_file=_path(base, doc["factors_file"], "factors_file"),
-            out_dir=_path(base, doc.get("out_dir", "out"), "out_dir"),
-            tau=float(doc.get("tau", DEFAULT_TAU)),
-            direction=doc.get("direction"),
-            empty_current=str(doc.get("empty_current", EMPTY_CURRENT_PENALIZE)),
-            offline=bool(doc.get("offline", False)),
-            extractor=extractor,
-            encoder=encoder,
-        )
+        return _load(RunConfig, doc, path.resolve().parent)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid config value: {exc}") from exc

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
@@ -129,7 +130,9 @@ class HttpEncoderClient:
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         last_error: Exception | None = None
-        for _ in range(self.max_attempts):
+        for attempt in range(self.max_attempts):
+            if attempt:
+                time.sleep(0.5 * 2 ** (attempt - 1))
             try:
                 return self._embed_once(texts)
             except EncoderTransportError as exc:
@@ -149,7 +152,7 @@ class HttpEncoderClient:
             )
         except requests.RequestException as exc:
             raise EncoderTransportError(f"encoder request failed: {exc}") from exc
-        if response.status_code >= 500:
+        if response.status_code >= 500 or response.status_code == 429:
             raise EncoderTransportError(f"encoder endpoint returned {response.status_code}")
         if response.status_code != 200:
             raise EmbeddingError(
@@ -161,7 +164,7 @@ class HttpEncoderClient:
                 EmbeddingVector(tuple(float(v) for v in item["embedding"]), self.model_id)
                 for item in items
             ]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise EmbeddingError(f"unexpected embeddings payload: {exc}") from exc
         if len(vectors) != len(texts):
             raise EmbeddingError(
@@ -266,6 +269,16 @@ def embed_labels(
                         f"encoder returned model {vector.model_id!r}, expected {model_id!r}"
                     )
                 check_dim(vector)
+                # The row norm ``score.unit_rows`` takes, so a vector cached
+                # here is one it accepts.
+                with np.errstate(over="ignore"):
+                    norm = float(np.linalg.norm(np.array([vector.values]), axis=1)[0])
+                if not np.isfinite(norm) or norm == 0.0:
+                    raise EmbeddingError(
+                        f"encoder returned a vector of norm {norm} for label {label!r} "
+                        f"of model {model_id!r}"
+                    )
+            for label, vector in zip(batch, vectors):
                 cache.put(vector, label)
                 resolved[label] = vector
 

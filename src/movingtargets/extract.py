@@ -207,7 +207,7 @@ def parse_extraction_response(
     text = _strip_code_fences(raw)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ResponseFormatError(f"unparseable response: {exc}") from exc
     if not isinstance(doc, dict):
         raise ResponseFormatError("response root must be an object")
@@ -346,7 +346,7 @@ class HttpChatCompletionClient:
             )
         except requests.RequestException as exc:
             raise TransportError(f"extractor request failed: {exc}") from exc
-        if response.status_code >= 500:
+        if response.status_code >= 500 or response.status_code == 429:
             raise TransportError(f"extractor endpoint returned {response.status_code}")
         if response.status_code != 200:
             raise ExtractionError(
@@ -354,7 +354,7 @@ class HttpChatCompletionClient:
             )
         try:
             return response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise ExtractionError(f"unexpected completion payload: {exc}") from exc
 
 

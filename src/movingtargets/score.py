@@ -56,6 +56,14 @@ class UndefinedScoreError(ValueError):
     """The score is undefined (no prior-quarter targets to compare against)."""
 
 
+class NormError(EmbeddingError):
+    """Row ``row`` of a stacked set of vectors has a zero or non-finite norm."""
+
+    def __init__(self, row: int, count: int, norm: float) -> None:
+        super().__init__(f"embedding vector {row} of {count} has norm {norm}")
+        self.row = row
+
+
 @dataclass(frozen=True)
 class MovingTargetsScore:
     """Score record for one firm-quarter; skipped records carry no value."""
@@ -72,12 +80,21 @@ class MovingTargetsScore:
 
 
 @dataclass(frozen=True)
-class TargetMatch:
+class CorpusMatch:
     """Best-match outcome of one prior target against the current set."""
 
+    firm: str
+    period: YearQuarter
+    method: str
     label: str
     best_similarity: float | None
     retained: bool
+
+
+def default_direction(method: str) -> str:
+    """The direction a method reads in as written: semantic retention, discrete missing."""
+
+    return DIRECTION_RETENTION if method == METHOD_SEMANTIC else DIRECTION_MISSING
 
 
 @dataclass(frozen=True)
@@ -100,8 +117,8 @@ def unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
     Each row's norm is reduced on its own, so no temporary the size of the
     matrix is made; a row's norm has the same bits as in a norm taken over
     the rows of any set that holds it. Raises ``DimensionMismatchError`` for
-    vectors of different lengths and ``EmbeddingError`` for a zero or
-    non-finite norm.
+    vectors of different lengths and ``NormError`` for a zero or non-finite
+    norm.
     """
 
     dims = {v.dim for v in vectors}
@@ -117,9 +134,7 @@ def unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
     if bad.size:
         i = int(bad[0])
-        raise EmbeddingError(
-            f"embedding vector {i} of {len(vectors)} has norm {float(norms[i, 0])}"
-        )
+        raise NormError(i, len(vectors), float(norms[i, 0]))
     matrix /= norms
     return matrix
 
@@ -170,7 +185,7 @@ def semantic_mt_score(
     *,
     direction: str = DIRECTION_RETENTION,
     empty_current: str = EMPTY_CURRENT_PENALIZE,
-) -> tuple[MovingTargetsScore, tuple[TargetMatch, ...]]:
+) -> tuple[MovingTargetsScore, tuple[CorpusMatch, ...]]:
     """Semantic drift score of ``current`` against ``previous``.
 
     Requires at least one prior target. When the current call yields no
@@ -188,14 +203,17 @@ def semantic_mt_score(
 
     if n_curr == 0 and empty_current == EMPTY_CURRENT_ZERO:
         retention = 0.0
-        matches = tuple(TargetMatch(label, None, False) for label in previous.texts)
+        matches = tuple(
+            CorpusMatch(current.firm, current.period, METHOD_SEMANTIC, label, None, False)
+            for label in previous.texts
+        )
     else:
         matrix = similarity_matrix(current.units, previous.units)
         pooled = max_pool(matrix)
         thresholded = [apply_threshold(s, tau) for s in pooled]
         retention = sum(thresholded) / n_prev
         matches = tuple(
-            TargetMatch(label, s, s >= tau)
+            CorpusMatch(current.firm, current.period, METHOD_SEMANTIC, label, s, s >= tau)
             for label, s in zip(previous.texts, pooled)
         )
 
@@ -217,7 +235,7 @@ def discrete_mt_score(
     previous: TargetSet,
     *,
     direction: str = DIRECTION_MISSING,
-) -> tuple[MovingTargetsScore, tuple[TargetMatch, ...]]:
+) -> tuple[MovingTargetsScore, tuple[CorpusMatch, ...]]:
     """Set-difference drift score: the share of prior targets not reappearing."""
 
     prev_texts = merged_texts(previous)
@@ -229,7 +247,8 @@ def discrete_mt_score(
     retained_count = sum(1 for text in prev_texts if text in curr_texts)
     retention = retained_count / n_prev
     matches = tuple(
-        TargetMatch(text, None, text in curr_texts) for text in prev_texts
+        CorpusMatch(current.firm, current.period, METHOD_DISCRETE, text, None, text in curr_texts)
+        for text in prev_texts
     )
     score = MovingTargetsScore(
         firm=current.firm,
@@ -242,16 +261,6 @@ def discrete_mt_score(
         direction=direction,
     )
     return score, matches
-
-
-@dataclass(frozen=True)
-class CorpusMatch:
-    firm: str
-    period: YearQuarter
-    method: str
-    label: str
-    best_similarity: float | None
-    retained: bool
 
 
 @dataclass(frozen=True)
@@ -287,7 +296,11 @@ def _embed_sets(
         (ts.firm, ts.period): merged_texts(ts) for ts in target_sets
     }
     unique_texts = sorted({text for texts in texts_by_set.values() for text in texts})
-    units = unit_rows(embedder(unique_texts) if unique_texts else [])
+    vectors = embedder(unique_texts) if unique_texts else []
+    try:
+        units = unit_rows(vectors)
+    except NormError as exc:
+        raise EmbeddingError(f"label {unique_texts[exc.row]!r}: {exc}") from exc
     row_of = {text: i for i, text in enumerate(unique_texts)}
     return units, {
         key: (texts, np.array([row_of[text] for text in texts], dtype=np.intp))
@@ -314,7 +327,7 @@ def score_corpus(
     if method not in (METHOD_SEMANTIC, METHOD_DISCRETE):
         raise ValueError(f"unknown scoring method {method!r}")
     if direction is None:
-        direction = DIRECTION_RETENTION if method == METHOD_SEMANTIC else DIRECTION_MISSING
+        direction = default_direction(method)
     if method == METHOD_SEMANTIC and embedder is None:
         raise ValueError("semantic scoring requires an embedder")
 
@@ -333,17 +346,17 @@ def score_corpus(
         texts, rows = rows_by_set[key]
         return EmbeddedTargets(firm=key[0], period=key[1], texts=texts, units=units[rows])
 
+    tau_field = tau if method == METHOD_SEMANTIC else None
     records: list[MovingTargetsScore] = []
     matches: list[CorpusMatch] = []
-    scored_values: list[float] = []
     for key in sorted(by_key, key=lambda k: (k[0], k[1])):
         firm, period = key
         current = by_key[key]
         prev_key = (firm, shift_quarters(period, -4))
         previous = by_key.get(prev_key)
-        tau_field = tau if method == METHOD_SEMANTIC else None
 
-        if previous is None:
+        if previous is None or not merged_texts(previous):
+            missing = previous is None
             records.append(
                 MovingTargetsScore(
                     firm=firm,
@@ -351,25 +364,10 @@ def score_corpus(
                     value=None,
                     method=method,
                     tau=tau_field,
-                    n_prev=None,
+                    n_prev=None if missing else 0,
                     n_curr=len(merged_texts(current)),
                     direction=direction,
-                    skipped_reason=SKIP_MISSING_PREVIOUS,
-                )
-            )
-            continue
-        if not merged_texts(previous):
-            records.append(
-                MovingTargetsScore(
-                    firm=firm,
-                    period=period,
-                    value=None,
-                    method=method,
-                    tau=tau_field,
-                    n_prev=0,
-                    n_curr=len(merged_texts(current)),
-                    direction=direction,
-                    skipped_reason=SKIP_EMPTY_PREVIOUS,
+                    skipped_reason=SKIP_MISSING_PREVIOUS if missing else SKIP_EMPTY_PREVIOUS,
                 )
             )
             continue
@@ -385,41 +383,22 @@ def score_corpus(
         else:
             record, pair_matches = discrete_mt_score(current, previous, direction=direction)
         records.append(record)
-        scored_values.append(record.value)
-        matches.extend(
-            CorpusMatch(
-                firm=firm,
-                period=period,
-                method=method,
-                label=m.label,
-                best_similarity=m.best_similarity,
-                retained=m.retained,
-            )
-            for m in pair_matches
-        )
+        matches.extend(pair_matches)
 
-    summary = _summarize(
-        list(by_key.values()), records, scored_values, method, direction,
-        tau if method == METHOD_SEMANTIC else None,
-    )
+    summary = _summarize(list(by_key.values()), records, method, direction, tau_field)
     return CorpusScores(records=tuple(records), matches=tuple(matches), summary=summary)
 
 
 def _summarize(
     target_sets: Sequence[TargetSet],
     records: Sequence[MovingTargetsScore],
-    values: Sequence[float],
     method: str,
     direction: str,
     tau: float | None,
 ) -> ScoreSummary:
     calls = len(target_sets)
-    section_counts = Counter()
-    total_labels = 0
-    for ts in target_sets:
-        total_labels += len(ts.labels)
-        for section in (SECTION_PRESENTATION, SECTION_QA):
-            section_counts[section] += len(ts.section_labels(section))
+    section_counts = Counter(label.section for ts in target_sets for label in ts.labels)
+    values = [r.value for r in records if r.value is not None]
 
     mean = sd = None
     if values:
@@ -435,10 +414,10 @@ def _summarize(
         direction=direction,
         tau=tau,
         scoreable=len(values),
-        skipped=sum(1 for r in records if r.value is None),
+        skipped=len(records) - len(values),
         mean=mean,
         sd=sd,
-        targets_per_call=total_labels / calls if calls else 0.0,
+        targets_per_call=section_counts.total() / calls if calls else 0.0,
         presentation_per_call=section_counts[SECTION_PRESENTATION] / calls if calls else 0.0,
         qa_per_call=section_counts[SECTION_QA] / calls if calls else 0.0,
     )

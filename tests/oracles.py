@@ -4,7 +4,8 @@ These deliberately avoid the code paths they verify: the retention oracle
 is a pure-Python triple loop, the per-pair similarity reference rebuilds
 and normalises each pair's vectors instead of indexing one matrix of unit
 rows, the quintile reference recomputes the breakpoints for every record
-instead of once per period, the regression oracle solves the normal
+instead of once per period, the discrete reference takes a set difference
+of each call's normalised texts, the regression oracle solves the normal
 equations explicitly instead of using a least-squares routine, and the
 returns-join references scan every row and every month instead of using the
 per-firm month index.
@@ -70,6 +71,45 @@ def semantic_pair_per_pair(current, previous, tau, empty_current_zero):
     else:
         pooled = [float(v) for v in matrix.max(axis=0)]
     return sum(1.0 if s >= tau else s for s in pooled) / len(previous), pooled
+
+
+def discrete_scores_set_difference(target_sets, direction_missing):
+    """``(records, matches)`` of the discrete method, by set difference.
+
+    Each target set's texts are normalised (whitespace collapsed, casefolded)
+    and merged over its sections, presentation first. Records are
+    ``(firm, period, value, skipped_reason, n_prev, n_curr)`` in (firm,
+    period) order; a call is compared with the same firm's call one year
+    earlier, and the value is the share of prior texts missing from the
+    current call, or one minus it. Matches are ``(firm, period, label,
+    retained)`` for every prior text of every scored call.
+    """
+
+    def texts(target_set):
+        ordered = []
+        for section in ("presentation", "analyst_qa"):
+            for label in target_set.labels:
+                text = " ".join(label.text.split()).casefold()
+                if label.section == section and text not in ordered:
+                    ordered.append(text)
+        return ordered
+
+    by_key = {(ts.firm, ts.period): texts(ts) for ts in target_sets}
+    records, matches = [], []
+    for firm, period in sorted(by_key):
+        current = by_key[(firm, period)]
+        previous = by_key.get((firm, type(period)(period.year - 1, period.quarter)))
+        if previous is None:
+            records.append((firm, period, None, "missing_previous_call", None, len(current)))
+        elif not previous:
+            records.append((firm, period, None, "empty_previous_targets", 0, len(current)))
+        else:
+            dropped = set(previous) - set(current)
+            missing = len(dropped) / len(previous)
+            value = missing if direction_missing else 1.0 - missing
+            records.append((firm, period, value, None, len(previous), len(current)))
+            matches.extend((firm, period, text, text not in dropped) for text in previous)
+    return records, matches
 
 
 def quintiles_per_record(records):

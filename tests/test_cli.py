@@ -9,7 +9,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import ENCODER_MODEL
+from corpusgen import ENCODER_MODEL, EXTRACTOR_MODEL
+from movingtargets import corpus as mt_corpus
+from movingtargets import extract
 from movingtargets.cli import main
 from movingtargets.embed import EmbeddingCache
 
@@ -85,6 +87,48 @@ class TestExtractCommand:
         diagnostics = json.loads((out / "extract_diagnostics.json").read_text())
         assert len(diagnostics["errors"]) == 1
         assert "no recorded response" in diagnostics["errors"][0]["error"]
+
+    def test_oversized_index_in_recording_is_per_file_error(self, runner, small_corpus, tmp_path):
+        root = tmp_path / "corpus"
+        shutil.copytree(small_corpus.root, root)
+        transcript = mt_corpus.load_transcript(root / "transcripts" / "AAPL_2020Q4.json")
+        prompt = extract.build_extraction_prompt(transcript)
+        key = extract.RecordingStore.key(EXTRACTOR_MODEL, prompt)
+        index = "1" + "0" * 5000
+        (root / "recordings" / f"{key}.txt").write_text(
+            f'{{"presentation": [{{"target": "margins", "index": {index}}}], "analyst_qa": []}}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["extract", "--config", str(root / "config.yaml"), "--out-dir", str(out)]
+        )
+        assert result.exit_code == 1
+        assert result.stderr.splitlines()[-1] == PARTIAL_EXTRACTION_LINE
+        assert sum(line.startswith("error:") for line in result.stderr.splitlines()) == 1
+        diagnostics = json.loads((out / "extract_diagnostics.json").read_text())
+        assert [e["file"] for e in diagnostics["errors"]] == ["AAPL_2020Q4"]
+        assert len(list((out / "targets").glob("*.llm.json"))) == 23
+        assert len(list((out / "targets").glob("*.baseline.json"))) == 24
+
+    def test_rerun_removes_sets_of_vanished_transcripts(self, runner, small_corpus, tmp_path):
+        root = tmp_path / "corpus"
+        shutil.copytree(small_corpus.root, root)
+        config = str(root / "config.yaml")
+        out = tmp_path / "out"
+        for command in ("extract", "score"):
+            result = runner.invoke(main, [command, "--config", config, "--out-dir", str(out)])
+            assert result.exit_code == 0, result.output
+        assert len(list((out / "targets").glob("*.json"))) == 48
+        (root / "transcripts" / "AAPL_2020Q4.json").unlink()
+        for command in ("extract", "score"):
+            result = runner.invoke(main, [command, "--config", config, "--out-dir", str(out)])
+            assert result.exit_code == 0, result.output
+        assert len(list((out / "targets").glob("*.json"))) == 46
+        assert not list((out / "targets").glob("AAPL_2020Q4.*"))
+        rows = read_csv(out / "scores.csv")
+        assert len(rows) == 46
+        assert ("AAPL", "2020", "4") not in {(r["firm"], r["year"], r["quarter"]) for r in rows}
 
     def test_dropped_label_violations_tallied(self, runner, small_corpus, tmp_path):
         out = tmp_path / "out"

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from movingtargets.config import ConfigError, load_config
+from movingtargets.config import (
+    ConfigError,
+    EncoderSettings,
+    ExtractorSettings,
+    RunConfig,
+    load_config,
+)
 
 
 def write_config(tmp_path, body):
@@ -23,6 +31,38 @@ class TestLoadConfig:
         assert config.extractor.model_id == "gemini-2.5-pro"
         assert config.encoder.model_id == "text-embedding-3-large"
         assert config.encoder.batch_size == 128
+
+    def test_minimal_file_is_the_dataclass_defaults(self, tmp_path):
+        config = load_config(write_config(tmp_path, MINIMAL))
+        assert config == RunConfig(
+            transcripts_dir=tmp_path / "transcripts",
+            returns_file=tmp_path / "r.csv",
+            factors_file=tmp_path / "f.csv",
+            out_dir=tmp_path / "out",
+        )
+
+    def test_every_key_is_parsed(self, tmp_path):
+        body = MINIMAL + (
+            "out_dir: /abs/out\ntau: '0.5'\ndirection: missing\nempty_current: zero\n"
+            "offline: 1\nextractor:\n  model_id: 7\n  endpoint: http://x\n"
+            "  recordings_dir: rec\n  parallelism: '2'\n  rate_limit: '3'\n"
+            "encoder:\n  model_id: enc\n  endpoint: http://y\n  cache_dir: cache\n"
+            "  batch_size: '16'\n"
+        )
+        config = load_config(write_config(tmp_path, body))
+        assert config == RunConfig(
+            transcripts_dir=tmp_path / "transcripts",
+            returns_file=tmp_path / "r.csv",
+            factors_file=tmp_path / "f.csv",
+            out_dir=Path("/abs/out"),
+            tau=0.5,
+            direction="missing",
+            empty_current="zero",
+            offline=True,
+            extractor=ExtractorSettings("7", "http://x", tmp_path / "rec", 2, 3.0),
+            encoder=EncoderSettings("enc", "http://y", tmp_path / "cache", 16),
+        )
+        assert config.offline is True
 
     def test_paths_resolve_relative_to_config_file(self, tmp_path):
         nested = tmp_path / "nested"

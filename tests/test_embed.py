@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from movingtargets import embed
 from movingtargets.embed import (
     DimensionMismatchError,
     EmbeddingCache,
@@ -131,6 +132,19 @@ class TestEmbedLabels:
         with pytest.raises(ValueError):
             embed_labels([""], CountingClient(), EmbeddingCache(tmp_path))
 
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, -math.inf), (1e-200, 1e-200)])
+    def test_non_finite_or_zero_norm_vector_is_not_cached(self, tmp_path, bad):
+        class BadClient:
+            model_id = "enc"
+
+            def embed(self, texts):
+                good = (1.0, 0.0)
+                return [EmbeddingVector(bad if t == "bad label" else good, "enc") for t in texts]
+
+        with pytest.raises(EmbeddingError, match="'bad label' of model 'enc'"):
+            embed_labels(["good label", "bad label"], BadClient(), EmbeddingCache(tmp_path))
+        assert list(tmp_path.rglob("*")) == []
+
 
 class TestHashingEncoder:
     def test_deterministic_unit_vectors(self):
@@ -187,12 +201,26 @@ class TestHttpEncoderClient:
         assert vectors[0].values == (1.0, 0.0)
         assert vectors[1].values == (0.0, 1.0)
 
-    def test_server_errors_retried_then_raised(self):
+    def test_server_errors_retried_then_raised(self, monkeypatch):
+        monkeypatch.setattr(embed.time, "sleep", lambda seconds: None)
         session = StubSession([StubResponse(500)] * 3)
         client = HttpEncoderClient("http://enc", "enc-model", session=session, max_attempts=3)
         with pytest.raises(EncoderTransportError, match="after 3 attempts"):
             client.embed(["x"])
         assert len(session.requests) == 3
+
+    @pytest.mark.parametrize(
+        "codes, waits", [([429, 200], [0.5]), ([429, 503, 200], [0.5, 1.0])]
+    )
+    def test_rate_limit_retried_with_backoff(self, monkeypatch, codes, waits):
+        slept = []
+        monkeypatch.setattr(embed.time, "sleep", slept.append)
+        payload = {"data": [{"index": 0, "embedding": [1.0, 0.0]}]}
+        session = StubSession(StubResponse(c, payload if c == 200 else None) for c in codes)
+        client = HttpEncoderClient("http://enc", "enc-model", session=session)
+        assert [v.values for v in client.embed(["x"])] == [(1.0, 0.0)]
+        assert len(session.requests) == len(codes)
+        assert slept == waits
 
     def test_client_error_not_retried(self):
         session = StubSession([StubResponse(401, text="no auth")])

@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from movingtargets.corpus import Transcript, Utterance, YearQuarter
 from movingtargets.extract import (
@@ -199,6 +201,34 @@ class TestParseExtractionResponse:
         assert len(parsed.target_set.labels) == 2
 
 
+# Any JSON value, nested a few levels deep.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+# Items that look like extractor items, with any shape of value.
+items = json_values | st.fixed_dictionaries(
+    {"target": json_values | st.text(), "index": json_values | st.integers(-3, 10)}
+)
+responses = st.dictionaries(
+    st.sampled_from(["presentation", "analyst_qa", "other"]),
+    st.lists(items, max_size=5) | json_values,
+).map(json.dumps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.text() | responses)
+@example("[" * 100_000)
+@example('{"presentation": [{"target": "margins", "index": 1%s}], "analyst_qa": []}' % ("0" * 5000))
+def test_parser_returns_or_raises_response_format_error(raw):
+    try:
+        parsed = parse_extraction_response(raw, 5, firm="AAPL", period=YearQuarter(2020, 1))
+    except ResponseFormatError:
+        return
+    assert all(0 <= label.source_index < 5 for label in parsed.target_set.labels)
+
+
 class TestSerializeRoundTrip:
     def test_parse_of_serialize_is_identity(self):
         target_set = TargetSet(
@@ -359,6 +389,12 @@ class TestHttpChatCompletionClient:
         session = StubSession([StubResponse(503)])
         client = HttpChatCompletionClient("http://llm", "model-x", session=session)
         with pytest.raises(TransportError):
+            client.complete("prompt")
+
+    def test_rate_limit_is_retryable_transport_error(self):
+        session = StubSession([StubResponse(429)])
+        client = HttpChatCompletionClient("http://llm", "model-x", session=session)
+        with pytest.raises(TransportError, match="429"):
             client.complete("prompt")
 
     def test_client_error_is_not_retryable(self):

@@ -32,7 +32,12 @@ from movingtargets.score import (
     similarity_matrix,
     unit_rows,
 )
-from oracles import random_unit_vectors, semantic_pair_per_pair, semantic_retention_oracle
+from oracles import (
+    discrete_scores_set_difference,
+    random_unit_vectors,
+    semantic_pair_per_pair,
+    semantic_retention_oracle,
+)
 
 Q = YearQuarter(2021, 2)
 Q_PREV = YearQuarter(2020, 2)
@@ -405,6 +410,12 @@ def test_score_corpus_matches_per_pair_reference(corpus, tau, empty_current, dir
         previous = texts_by_key.get((record.firm, shift_quarters(record.period, -4)))
         if not previous:
             assert record.value is None
+            if previous is None:
+                assert record.skipped_reason == "missing_previous_call"
+                assert (record.n_prev, record.n_curr) == (None, len(current))
+            else:
+                assert record.skipped_reason == "empty_previous_targets"
+                assert (record.n_prev, record.n_curr) == (0, len(current))
             continue
         cur_vectors = [vectors[text] for text in current]
         prev_vectors = [vectors[text] for text in previous]
@@ -423,6 +434,30 @@ def test_score_corpus_matches_per_pair_reference(corpus, tau, empty_current, dir
             )
             assert abs(retention - oracle) <= 1e-9
     assert next(matches, None) is None
+
+
+@property_settings
+@given(semantic_corpora(), st.sampled_from([None, DIRECTION_RETENTION, DIRECTION_MISSING]))
+def test_discrete_score_corpus_matches_set_difference(corpus, direction):
+    target_sets, _ = corpus
+    result = score_corpus(target_sets, 0.65, METHOD_DISCRETE, direction=direction)
+    records, matches = discrete_scores_set_difference(target_sets, direction != DIRECTION_RETENTION)
+    assert len(result.records) == len(records)
+    for record, (firm, period, value, reason, n_prev, n_curr) in zip(result.records, records):
+        assert (record.firm, record.period, record.skipped_reason) == (firm, period, reason)
+        assert (record.n_prev, record.n_curr) == (n_prev, n_curr)
+        assert record.value == (None if value is None else pytest.approx(value, abs=1e-12))
+    assert [(m.firm, m.period, m.label, m.retained) for m in result.matches] == matches
+    assert all(m.best_similarity is None for m in result.matches)
+
+
+def test_bad_vector_error_names_the_label():
+    def embedder(texts):
+        return [EmbeddingVector((math.nan, 1.0) if t == "b" else (1.0, 0.0), "m") for t in texts]
+
+    sets = quarterly_sets("F", [["a", "b"], ["a"], ["a"], ["a"], ["a"]])
+    with pytest.raises(EmbeddingError, match="label 'b': embedding vector 1 of 2 has norm nan"):
+        score_corpus(sets, 0.65, METHOD_SEMANTIC, embedder=embedder)
 
 
 def integer_vectors(dim, min_size=0):
