@@ -88,6 +88,19 @@ def _path(base: Path, value: object, key: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
+def _flag(value: Any) -> bool:
+    # YAML reads ``"false"`` as a string, which ``bool`` would take as true.
+    if not isinstance(value, int) or value not in (0, 1):
+        raise ConfigError(f"offline must be true, false, 0 or 1, got {value!r}")
+    return bool(value)
+
+
+def _model_id(value: Any) -> str:
+    if value is None:
+        raise ConfigError("model_id must not be null")
+    return str(value)
+
+
 # How each field is read; a field named nowhere is taken as written. A
 # ``Path`` field, and its default, is resolved against the config file's
 # directory.
@@ -98,8 +111,8 @@ _PARSE: dict[str, Callable[[Any], Any]] = {
     "out_dir": Path,
     "tau": float,
     "empty_current": str,
-    "offline": bool,
-    "model_id": str,
+    "offline": _flag,
+    "model_id": _model_id,
     "recordings_dir": Path,
     "parallelism": int,
     "rate_limit": lambda value: None if value is None else float(value),

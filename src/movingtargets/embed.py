@@ -108,6 +108,12 @@ class EmbeddingCache:
             os.replace(tmp, path)
 
 
+# Attempts per encoder batch in all, and the wait before the second one;
+# each later wait doubles.
+TRANSPORT_ATTEMPTS = 3
+BACKOFF_BASE_S = 0.5
+
+
 class HttpEncoderClient:
     """Minimal embeddings transport against an OpenAI-style endpoint."""
 
@@ -118,27 +124,25 @@ class HttpEncoderClient:
         api_key: str | None = None,
         *,
         timeout: float = 120.0,
-        max_attempts: int = 3,
         session: requests.Session | None = None,
     ) -> None:
         self.endpoint = endpoint
         self.model_id = model_id
         self.api_key = api_key
         self.timeout = timeout
-        self.max_attempts = max_attempts
         self.session = session or requests.Session()
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(TRANSPORT_ATTEMPTS):
             if attempt:
-                time.sleep(0.5 * 2 ** (attempt - 1))
+                time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
             try:
                 return self._embed_once(texts)
             except EncoderTransportError as exc:
                 last_error = exc
         raise EncoderTransportError(
-            f"encoder transport failed after {self.max_attempts} attempts"
+            f"encoder transport failed after {TRANSPORT_ATTEMPTS} attempts"
         ) from last_error
 
     def _embed_once(self, texts: Sequence[str]) -> list[EmbeddingVector]:

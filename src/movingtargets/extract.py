@@ -21,7 +21,7 @@ import re
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -80,39 +80,36 @@ class TargetLabel:
 
 @dataclass(frozen=True)
 class TargetSet:
-    """Validated, per-section-deduplicated labels for one firm-quarter."""
+    """Validated, per-section-deduplicated labels for one firm-quarter.
+
+    ``texts`` is built once with the set: the normalized texts merged over
+    sections for scoring, presentation first, each text once where it first
+    occurs.
+    """
 
     firm: str
     period: YearQuarter
     labels: tuple[TargetLabel, ...]
     method: str
+    texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[tuple[str, str]] = set()
+        by_section: dict[str, dict[str, None]] = {section: {} for section in SECTIONS}
         for label in self.labels:
             if label.section not in SECTIONS:
                 raise ValueError(f"unknown section {label.section!r}")
-            key = (label.section, normalize_label(label.text))
-            if key in seen:
+            text = normalize_label(label.text)
+            if text in by_section[label.section]:
                 raise ValueError(f"duplicate label {label.text!r} in {label.section}")
-            seen.add(key)
-
-    def section_labels(self, section: str) -> tuple[TargetLabel, ...]:
-        return tuple(label for label in self.labels if label.section == section)
+            by_section[label.section][text] = None
+        merged = dict.fromkeys(text for texts in by_section.values() for text in texts)
+        object.__setattr__(self, "texts", tuple(merged))
 
 
 def merged_texts(target_set: TargetSet) -> tuple[str, ...]:
-    """Union of label texts across sections, presentation first, order kept.
+    """The set's texts merged over sections, as scored (``TargetSet.texts``)."""
 
-    Sections are scored jointly; the same text appearing in both sections
-    collapses to one entry here even though the set stores both labels.
-    """
-
-    ordered: dict[str, None] = {}
-    for section in SECTIONS:
-        for label in target_set.section_labels(section):
-            ordered.setdefault(normalize_label(label.text), None)
-    return tuple(ordered)
+    return target_set.texts
 
 
 def validate_target_label(text: str) -> list[str]:
@@ -253,7 +250,8 @@ def serialize_target_set(target_set: TargetSet) -> str:
     doc = {
         section: [
             {"target": label.text, "index": label.source_index}
-            for label in target_set.section_labels(section)
+            for label in target_set.labels
+            if label.section == section
         ]
         for section in SECTIONS
     }
@@ -353,9 +351,12 @@ class HttpChatCompletionClient:
                 f"extractor endpoint returned {response.status_code}: {response.text[:200]}"
             )
         try:
-            return response.json()["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise ExtractionError(f"unexpected completion payload: {exc}") from exc
+        if not isinstance(content, str):
+            raise ResponseFormatError(f"completion content must be a string, got {content!r}")
+        return content
 
 
 class TokenBucket:
@@ -399,6 +400,11 @@ class RateLimitedExtractorClient:
         return self._client.complete(prompt)
 
 
+# Transport retries of one extraction: attempts in all, and the first wait.
+TRANSPORT_ATTEMPTS = 3
+BACKOFF_BASE_S = 0.5
+
+
 @dataclass(frozen=True)
 class LlmExtraction:
     target_set: TargetSet
@@ -410,15 +416,14 @@ def extract_targets_llm(
     transcript: Transcript,
     client: ExtractorClient,
     *,
-    max_transport_attempts: int = 3,
-    backoff_base: float = 0.5,
     sleep: Callable[[float], None] = time.sleep,
 ) -> LlmExtraction:
     """Extract targets for one transcript in a single prompt round trip.
 
-    Transport failures are retried up to ``max_transport_attempts`` with
-    exponential backoff; a malformed response is retried once, after which
-    the firm-quarter is reported unextractable.
+    Transport failures are retried up to ``TRANSPORT_ATTEMPTS`` times in
+    all, waiting ``BACKOFF_BASE_S`` and then twice as long each time; a
+    malformed response is retried once, after which the firm-quarter is
+    reported unextractable.
     """
 
     prompt = build_extraction_prompt(transcript)
@@ -428,20 +433,21 @@ def extract_targets_llm(
     while True:
         calls += 1
         try:
-            raw = client.complete(prompt)
+            parsed = parse_extraction_response(
+                client.complete(prompt),
+                len(transcript),
+                firm=transcript.firm,
+                period=transcript.period,
+            )
         except TransportError as exc:
             transport_attempts += 1
-            if transport_attempts >= max_transport_attempts:
+            if transport_attempts >= TRANSPORT_ATTEMPTS:
                 raise UnextractableError(
                     f"{transcript.firm} {transcript.period}: transport failed "
                     f"after {transport_attempts} attempts"
                 ) from exc
-            sleep(backoff_base * 2 ** (transport_attempts - 1))
+            sleep(BACKOFF_BASE_S * 2 ** (transport_attempts - 1))
             continue
-        try:
-            parsed = parse_extraction_response(
-                raw, len(transcript), firm=transcript.firm, period=transcript.period
-            )
         except ResponseFormatError as exc:
             parse_attempts += 1
             if parse_attempts > 1:

@@ -17,10 +17,11 @@ Both directions are available for either method via ``direction``; reports
 must carry the direction label because the two conventions sort firms in
 opposite economic order.
 
-Semantic scoring embeds each distinct label of the corpus once, stacks the
-vectors into one float64 matrix per model and scales every row to unit norm
-once (``unit_rows``). Each firm-quarter pair then takes its current and
-previous rows from that matrix by index, and its similarity matrix is one
+Both methods read each set's merged texts, built once with the set
+(``TargetSet.texts``). Semantic scoring embeds the sorted vocabulary of the
+corpus once, stacks the vectors into one float64 matrix per model and scales
+every row to unit norm once (``unit_rows``). Each firm-quarter pair then
+takes its rows from that matrix by index, and its similarity matrix is one
 product of unit rows.
 """
 
@@ -29,13 +30,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import YearQuarter, shift_quarters
 from .embed import DimensionMismatchError, EmbeddingError, EmbeddingVector
-from .extract import SECTION_PRESENTATION, SECTION_QA, TargetSet, merged_texts
+from .extract import SECTION_PRESENTATION, SECTION_QA, TargetSet
 
 METHOD_SEMANTIC = "semantic"
 METHOD_DISCRETE = "discrete"
@@ -178,6 +179,37 @@ def _oriented(retention_value: float, direction: str) -> float:
     raise ValueError(f"unknown direction {direction!r}")
 
 
+def _pair_score(
+    current: TargetSet | EmbeddedTargets,
+    previous: TargetSet | EmbeddedTargets,
+    method: str,
+    tau: float | None,
+    direction: str,
+    outcomes: Sequence[tuple[float | None, bool, float]],
+) -> tuple[MovingTargetsScore, tuple[CorpusMatch, ...]]:
+    """Record and matches of one pair from, per prior target, its best
+    similarity, whether it is retained and its share of the retention value."""
+
+    n_prev = len(previous.texts)
+    if n_prev == 0:
+        raise UndefinedScoreError(f"{previous.firm} {previous.period}: no prior targets")
+    score = MovingTargetsScore(
+        firm=current.firm,
+        period=current.period,
+        value=_oriented(sum(credit for _, _, credit in outcomes) / n_prev, direction),
+        method=method,
+        tau=tau,
+        n_prev=n_prev,
+        n_curr=len(current.texts),
+        direction=direction,
+    )
+    matches = tuple(
+        CorpusMatch(current.firm, current.period, method, text, best, retained)
+        for text, (best, retained, _) in zip(previous.texts, outcomes)
+    )
+    return score, matches
+
+
 def semantic_mt_score(
     current: EmbeddedTargets,
     previous: EmbeddedTargets,
@@ -196,38 +228,12 @@ def semantic_mt_score(
 
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau!r}")
-    n_prev = len(previous.texts)
-    n_curr = len(current.texts)
-    if n_prev == 0:
-        raise UndefinedScoreError(f"{previous.firm} {previous.period}: no prior targets")
-
-    if n_curr == 0 and empty_current == EMPTY_CURRENT_ZERO:
-        retention = 0.0
-        matches = tuple(
-            CorpusMatch(current.firm, current.period, METHOD_SEMANTIC, label, None, False)
-            for label in previous.texts
-        )
+    if not current.texts and empty_current == EMPTY_CURRENT_ZERO:
+        outcomes = [(None, False, 0.0)] * len(previous.texts)
     else:
-        matrix = similarity_matrix(current.units, previous.units)
-        pooled = max_pool(matrix)
-        thresholded = [apply_threshold(s, tau) for s in pooled]
-        retention = sum(thresholded) / n_prev
-        matches = tuple(
-            CorpusMatch(current.firm, current.period, METHOD_SEMANTIC, label, s, s >= tau)
-            for label, s in zip(previous.texts, pooled)
-        )
-
-    score = MovingTargetsScore(
-        firm=current.firm,
-        period=current.period,
-        value=_oriented(retention, direction),
-        method=METHOD_SEMANTIC,
-        tau=tau,
-        n_prev=n_prev,
-        n_curr=n_curr,
-        direction=direction,
-    )
-    return score, matches
+        pooled = max_pool(similarity_matrix(current.units, previous.units))
+        outcomes = [(s, s >= tau, apply_threshold(s, tau)) for s in pooled]
+    return _pair_score(current, previous, METHOD_SEMANTIC, tau, direction, outcomes)
 
 
 def discrete_mt_score(
@@ -238,29 +244,10 @@ def discrete_mt_score(
 ) -> tuple[MovingTargetsScore, tuple[CorpusMatch, ...]]:
     """Set-difference drift score: the share of prior targets not reappearing."""
 
-    prev_texts = merged_texts(previous)
-    curr_texts = set(merged_texts(current))
-    n_prev = len(prev_texts)
-    if n_prev == 0:
-        raise UndefinedScoreError(f"{previous.firm} {previous.period}: no prior targets")
-
-    retained_count = sum(1 for text in prev_texts if text in curr_texts)
-    retention = retained_count / n_prev
-    matches = tuple(
-        CorpusMatch(current.firm, current.period, METHOD_DISCRETE, text, None, text in curr_texts)
-        for text in prev_texts
-    )
-    score = MovingTargetsScore(
-        firm=current.firm,
-        period=current.period,
-        value=_oriented(retention, direction),
-        method=METHOD_DISCRETE,
-        tau=None,
-        n_prev=n_prev,
-        n_curr=len(merged_texts(current)),
-        direction=direction,
-    )
-    return score, matches
+    current_texts = set(current.texts)
+    retained = [text in current_texts for text in previous.texts]
+    outcomes = [(None, kept, float(kept)) for kept in retained]
+    return _pair_score(current, previous, METHOD_DISCRETE, None, direction, outcomes)
 
 
 @dataclass(frozen=True)
@@ -285,27 +272,6 @@ class CorpusScores:
 
 
 Embedder = Callable[[Sequence[str]], list[EmbeddingVector]]
-
-
-def _embed_sets(
-    target_sets: Sequence[TargetSet], embedder: Embedder
-) -> tuple[np.ndarray, Mapping[tuple[str, YearQuarter], tuple[tuple[str, ...], np.ndarray]]]:
-    """Unit rows of the distinct labels, and each set's texts with their row indices."""
-
-    texts_by_set = {
-        (ts.firm, ts.period): merged_texts(ts) for ts in target_sets
-    }
-    unique_texts = sorted({text for texts in texts_by_set.values() for text in texts})
-    vectors = embedder(unique_texts) if unique_texts else []
-    try:
-        units = unit_rows(vectors)
-    except NormError as exc:
-        raise EmbeddingError(f"label {unique_texts[exc.row]!r}: {exc}") from exc
-    row_of = {text: i for i, text in enumerate(unique_texts)}
-    return units, {
-        key: (texts, np.array([row_of[text] for text in texts], dtype=np.intp))
-        for key, texts in texts_by_set.items()
-    }
 
 
 def score_corpus(
@@ -338,13 +304,18 @@ def score_corpus(
             raise ValueError(f"duplicate target set for {ts.firm} {ts.period}")
         by_key[key] = ts
 
-    units, rows_by_set = np.empty((0, 0)), {}
+    units, row_of = np.empty((0, 0)), {}
     if method == METHOD_SEMANTIC:
-        units, rows_by_set = _embed_sets(list(by_key.values()), embedder)
+        vocabulary = sorted({text for ts in by_key.values() for text in ts.texts})
+        try:
+            units = unit_rows(embedder(vocabulary) if vocabulary else [])
+        except NormError as exc:
+            raise EmbeddingError(f"label {vocabulary[exc.row]!r}: {exc}") from exc
+        row_of = {text: i for i, text in enumerate(vocabulary)}
 
-    def embedded(key: tuple[str, YearQuarter]) -> EmbeddedTargets:
-        texts, rows = rows_by_set[key]
-        return EmbeddedTargets(firm=key[0], period=key[1], texts=texts, units=units[rows])
+    def embedded(ts: TargetSet) -> EmbeddedTargets:
+        rows = np.array([row_of[text] for text in ts.texts], dtype=np.intp)
+        return EmbeddedTargets(firm=ts.firm, period=ts.period, texts=ts.texts, units=units[rows])
 
     tau_field = tau if method == METHOD_SEMANTIC else None
     records: list[MovingTargetsScore] = []
@@ -352,10 +323,9 @@ def score_corpus(
     for key in sorted(by_key, key=lambda k: (k[0], k[1])):
         firm, period = key
         current = by_key[key]
-        prev_key = (firm, shift_quarters(period, -4))
-        previous = by_key.get(prev_key)
+        previous = by_key.get((firm, shift_quarters(period, -4)))
 
-        if previous is None or not merged_texts(previous):
+        if previous is None or not previous.texts:
             missing = previous is None
             records.append(
                 MovingTargetsScore(
@@ -365,7 +335,7 @@ def score_corpus(
                     method=method,
                     tau=tau_field,
                     n_prev=None if missing else 0,
-                    n_curr=len(merged_texts(current)),
+                    n_curr=len(current.texts),
                     direction=direction,
                     skipped_reason=SKIP_MISSING_PREVIOUS if missing else SKIP_EMPTY_PREVIOUS,
                 )
@@ -374,8 +344,8 @@ def score_corpus(
 
         if method == METHOD_SEMANTIC:
             record, pair_matches = semantic_mt_score(
-                embedded(key),
-                embedded(prev_key),
+                embedded(current),
+                embedded(previous),
                 tau,
                 direction=direction,
                 empty_current=empty_current,

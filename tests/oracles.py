@@ -4,11 +4,11 @@ These deliberately avoid the code paths they verify: the retention oracle
 is a pure-Python triple loop, the per-pair similarity reference rebuilds
 and normalises each pair's vectors instead of indexing one matrix of unit
 rows, the quintile reference recomputes the breakpoints for every record
-instead of once per period, the discrete reference takes a set difference
-of each call's normalised texts, the regression oracle solves the normal
-equations explicitly instead of using a least-squares routine, and the
-returns-join references scan every row and every month instead of using the
-per-firm month index.
+instead of once per period, the merge reference scans a list of each
+call's normalised texts, the discrete reference takes a set difference of
+them, the regression oracle solves the normal equations explicitly instead
+of using a least-squares routine, and the returns-join references scan every
+row and every month instead of using the per-firm month index.
 """
 
 from __future__ import annotations
@@ -73,6 +73,22 @@ def semantic_pair_per_pair(current, previous, tau, empty_current_zero):
     return sum(1.0 if s >= tau else s for s in pooled) / len(previous), pooled
 
 
+def merged_texts_reference(target_set):
+    """A set's texts, normalised and merged over its sections by a list scan.
+
+    Whitespace is collapsed and case folded; presentation texts come first,
+    each text once, at its first occurrence.
+    """
+
+    ordered = []
+    for section in ("presentation", "analyst_qa"):
+        for label in target_set.labels:
+            text = " ".join(label.text.split()).casefold()
+            if label.section == section and text not in ordered:
+                ordered.append(text)
+    return ordered
+
+
 def discrete_scores_set_difference(target_sets, direction_missing):
     """``(records, matches)`` of the discrete method, by set difference.
 
@@ -85,16 +101,7 @@ def discrete_scores_set_difference(target_sets, direction_missing):
     retained)`` for every prior text of every scored call.
     """
 
-    def texts(target_set):
-        ordered = []
-        for section in ("presentation", "analyst_qa"):
-            for label in target_set.labels:
-                text = " ".join(label.text.split()).casefold()
-                if label.section == section and text not in ordered:
-                    ordered.append(text)
-        return ordered
-
-    by_key = {(ts.firm, ts.period): texts(ts) for ts in target_sets}
+    by_key = {(ts.firm, ts.period): merged_texts_reference(ts) for ts in target_sets}
     records, matches = [], []
     for firm, period in sorted(by_key):
         current = by_key[(firm, period)]

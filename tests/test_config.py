@@ -84,6 +84,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="turbo"):
             load_config(write_config(tmp_path, body))
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("offline: 'false'\n", "offline"),
+            ("offline: 2\n", "offline"),
+            ("offline: 1.0\n", "offline"),
+            ("offline:\n", "offline"),
+            ("extractor:\n  model_id: null\n", "model_id"),
+            ("encoder:\n  model_id:\n", "model_id"),
+        ],
+        ids=["quoted-false", "two", "float-one", "null-offline", "null-extractor", "null-encoder"],
+    )
+    def test_loose_scalars_rejected(self, tmp_path, body, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, MINIMAL + body))
+
     def test_tau_bounds(self, tmp_path):
         with pytest.raises(ConfigError, match="tau"):
             load_config(write_config(tmp_path, MINIMAL + "tau: 0.0\n"))

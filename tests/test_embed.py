@@ -204,7 +204,7 @@ class TestHttpEncoderClient:
     def test_server_errors_retried_then_raised(self, monkeypatch):
         monkeypatch.setattr(embed.time, "sleep", lambda seconds: None)
         session = StubSession([StubResponse(500)] * 3)
-        client = HttpEncoderClient("http://enc", "enc-model", session=session, max_attempts=3)
+        client = HttpEncoderClient("http://enc", "enc-model", session=session)
         with pytest.raises(EncoderTransportError, match="after 3 attempts"):
             client.embed(["x"])
         assert len(session.requests) == 3

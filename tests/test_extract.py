@@ -33,6 +33,8 @@ from movingtargets.extract import (
     validate_target_label,
 )
 
+from oracles import merged_texts_reference
+
 GOLDEN = Path(__file__).parent / "data" / "prompt_golden.txt"
 INPUT_SLOT = "<inputs>earnings-call transcript as indexed JSON dialog</inputs>"
 
@@ -409,6 +411,23 @@ class TestHttpChatCompletionClient:
         with pytest.raises(ExtractionError, match="payload"):
             client.complete("prompt")
 
+    @pytest.mark.parametrize("content", [None, 42])
+    def test_non_string_content_is_response_format_error(self, content):
+        payload = {"choices": [{"message": {"content": content}}]}
+        session = StubSession([StubResponse(200, payload)])
+        client = HttpChatCompletionClient("http://llm", "model-x", session=session)
+        with pytest.raises(ResponseFormatError, match="must be a string"):
+            client.complete("prompt")
+
+    @pytest.mark.parametrize("content", [None, 42])
+    def test_non_string_content_makes_transcript_unextractable(self, content):
+        payload = {"choices": [{"message": {"content": content}}]}
+        session = StubSession([StubResponse(200, payload)] * 2)
+        client = HttpChatCompletionClient("http://llm", "model-x", session=session)
+        with pytest.raises(UnextractableError, match="unparseable"):
+            extract_targets_llm(make_transcript(), client)
+        assert len(session.requests) == 2
+
 
 class TestRateLimiting:
     def test_token_bucket_hands_out_capacity_without_blocking(self):
@@ -528,3 +547,34 @@ class TestBaselineExtractor:
             method="llm",
         )
         assert merged_texts(target_set) == ("revenue", "margins")
+
+
+def spelling_variants(text):
+    """Spellings of ``text`` that differ in case and whitespace."""
+
+    case = st.sampled_from([str.lower, str.upper, str.title])
+    gap = st.sampled_from([" ", "  ", "\t", " \n "])
+    return st.tuples(case, gap, st.sampled_from(["", " ", "\t"])).map(
+        lambda spelling: spelling[2] + spelling[1].join(spelling[0](text).split()) + spelling[2]
+    )
+
+
+@st.composite
+def variant_target_sets(draw):
+    """Target sets whose texts recur across sections under other spellings,
+    with the labels of the two sections interleaved."""
+
+    pool = ("gross margin", "free cash flow", "revenue", "data center revenue", "capex")
+    labels = [
+        TargetLabel(draw(spelling_variants(text)), section, 0)
+        for section in ("presentation", "analyst_qa")
+        for text in draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+    ]
+    return TargetSet("AAPL", YearQuarter(2020, 1), tuple(draw(st.permutations(labels))), "llm")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(variant_target_sets())
+def test_texts_are_the_reference_merge(target_set):
+    assert target_set.texts == tuple(merged_texts_reference(target_set))
+    assert merged_texts(target_set) == target_set.texts

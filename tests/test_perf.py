@@ -1,8 +1,9 @@
-"""Timings of the two hottest offline layers, with pytest-benchmark.
+"""Timings of the hottest offline layers, with pytest-benchmark.
 
 Deselected by default; run with ``pytest -m perf``. The inputs match the
 benchmark's semantic-wide scoring (24 firms x 20 quarters x 16 labels from
-720 distinct labels at 3,072 dimensions) and its history-long backtest
+720 distinct labels at 3,072 dimensions), its history-long discrete scoring
+(16 firms x 48 quarters x 12 labels from 480) and its history-long backtest
 (16 firms x 48 quarters of scores).
 """
 
@@ -15,7 +16,12 @@ from movingtargets.backtest import build_assignments
 from movingtargets.corpus import YearQuarter, shift_quarters
 from movingtargets.embed import EmbeddingVector
 from movingtargets.extract import TargetLabel, TargetSet
-from movingtargets.score import METHOD_SEMANTIC, MovingTargetsScore, score_corpus
+from movingtargets.score import (
+    METHOD_DISCRETE,
+    METHOD_SEMANTIC,
+    MovingTargetsScore,
+    score_corpus,
+)
 
 pytestmark = pytest.mark.perf
 
@@ -56,6 +62,26 @@ def test_score_corpus_semantic(benchmark, semantic_wide):
         embedder=lambda texts: [vectors[text] for text in texts],
     )
     assert result.summary.scoreable == 24 * 16
+
+
+def test_score_corpus_discrete(benchmark):
+    rng = np.random.default_rng(3)
+    labels = [f"target {i:03d}" for i in range(480)]
+    target_sets = [
+        TargetSet(
+            firm=f"F{firm:02d}",
+            period=shift_quarters(START, quarter),
+            labels=tuple(
+                TargetLabel(labels[i], "presentation", 0)
+                for i in rng.choice(len(labels), size=12, replace=False)
+            ),
+            method="baseline",
+        )
+        for firm in range(16)
+        for quarter in range(48)
+    ]
+    result = benchmark(score_corpus, target_sets, 0.65, METHOD_DISCRETE)
+    assert result.summary.scoreable == 16 * 44
 
 
 def test_build_assignments(benchmark):

@@ -451,6 +451,61 @@ def test_discrete_score_corpus_matches_set_difference(corpus, direction):
     assert all(m.best_similarity is None for m in result.matches)
 
 
+def corpus_embedder(vectors):
+    return lambda texts: [vectors[text] for text in texts]
+
+
+@property_settings
+@given(semantic_corpora(), st.sampled_from([METHOD_SEMANTIC, METHOD_DISCRETE]), st.data())
+def test_score_corpus_ignores_input_order(corpus, method, data):
+    target_sets, vectors = corpus
+    shuffled = data.draw(st.permutations(target_sets))
+    embedder = corpus_embedder(vectors)
+    assert score_corpus(shuffled, 0.65, method, embedder=embedder) == score_corpus(
+        target_sets, 0.65, method, embedder=embedder
+    )
+
+
+@property_settings
+@given(
+    semantic_corpora(),
+    st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4),
+    st.sampled_from([EMPTY_CURRENT_PENALIZE, EMPTY_CURRENT_ZERO]),
+)
+def test_semantic_values_nonincreasing_in_tau(corpus, taus, empty_current):
+    target_sets, vectors = corpus
+    runs = [
+        score_corpus(
+            target_sets,
+            tau,
+            METHOD_SEMANTIC,
+            embedder=corpus_embedder(vectors),
+            empty_current=empty_current,
+        ).records
+        for tau in sorted(taus)
+    ]
+    for lower, higher in zip(runs, runs[1:]):
+        for at_lower, at_higher in zip(lower, higher):
+            assert (at_lower.value is None) == (at_higher.value is None)
+            if at_lower.value is not None:
+                assert at_higher.value <= at_lower.value
+
+
+@property_settings
+@given(semantic_corpora(), st.sampled_from([METHOD_SEMANTIC, METHOD_DISCRETE]))
+def test_missing_is_one_minus_retention(corpus, method):
+    target_sets, vectors = corpus
+    retention, missing = (
+        score_corpus(
+            target_sets, 0.65, method, embedder=corpus_embedder(vectors), direction=direction
+        ).records
+        for direction in (DIRECTION_RETENTION, DIRECTION_MISSING)
+    )
+    assert len(retention) == len(missing)
+    for kept, lost in zip(retention, missing):
+        assert lost.value == (None if kept.value is None else 1.0 - kept.value)
+
+
 def test_bad_vector_error_names_the_label():
     def embedder(texts):
         return [EmbeddingVector((math.nan, 1.0) if t == "b" else (1.0, 0.0), "m") for t in texts]
