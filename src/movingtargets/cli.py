@@ -27,6 +27,10 @@ Exit 2: ``invalid-config``. Exit 1: ``missing-transcripts``,
 ``malformed-match-records``, and for errors raised below the CLI
 ``malformed-input``, ``extraction-error``, ``embedding-error``,
 ``backtest-error`` and ``io-error`` (see ``_ERRORS``).
+
+Each command imports the stages it runs when it runs, so ``extract`` and
+``report-frequencies`` never load numpy, and only the online HTTP clients
+load requests.
 """
 
 from __future__ import annotations
@@ -39,26 +43,31 @@ import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Iterable, NoReturn, Sequence, TextIO, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Sequence, TextIO, TypeVar
 
 import click
 
-from . import backtest as bt
-from . import corpus, embed, extract, score
+from . import corpus, extract
 from .config import (
     ENCODER_API_KEY_ENV,
     EXTRACTOR_API_KEY_ENV,
+    METHOD_DISCRETE,
+    METHOD_SEMANTIC,
     ConfigError,
     RunConfig,
     load_config,
 )
 
+if TYPE_CHECKING:
+    from . import backtest as bt
+    from . import embed, score
+
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
 EXTRACTION_TO_SCORING = {
-    extract.METHOD_LLM: score.METHOD_SEMANTIC,
-    extract.METHOD_BASELINE: score.METHOD_DISCRETE,
+    extract.METHOD_LLM: METHOD_SEMANTIC,
+    extract.METHOD_BASELINE: METHOD_DISCRETE,
 }
 SCORING_TO_EXTRACTION = {v: k for k, v in EXTRACTION_TO_SCORING.items()}
 
@@ -75,10 +84,12 @@ SCORES_CSV_HEADER = (
 )
 MATCHES_CSV_HEADER = ("firm", "year", "quarter", "method", "label", "best_similarity", "retained")
 
+# (metric, alpha model). The models are those of ``backtest.ALPHA_MODELS``,
+# written out so that this table does not import the backtest and numpy.
 PORTFOLIO_METRICS = (
-    ("excess_return", bt.MODEL_EXCESS),
-    ("ff3_alpha", bt.MODEL_FF3),
-    ("five_factor_alpha", bt.MODEL_FIVE_FACTOR),
+    ("excess_return", "excess"),
+    ("ff3_alpha", "ff3"),
+    ("five_factor_alpha", "five_factor"),
 )
 
 SPREAD_CONVENTION = (
@@ -333,6 +344,8 @@ def cmd_extract(config: RunConfig, extraction_methods: Sequence[str]) -> None:
 
 
 def _build_embedder(config: RunConfig) -> score.Embedder:
+    from . import embed
+
     settings = config.encoder
     if settings.cache_dir is None:
         raise ConfigError("semantic scoring requires encoder.cache_dir")
@@ -368,6 +381,8 @@ def _format_optional(value: object) -> str:
 
 
 def _read_scores_csv(path: Path, directions: dict[str, str]) -> list[score.MovingTargetsScore]:
+    from . import score
+
     def parse(row: dict[str, str]) -> score.MovingTargetsScore:
         method = row["method"]
         return score.MovingTargetsScore(
@@ -388,6 +403,8 @@ def _read_scores_csv(path: Path, directions: dict[str, str]) -> list[score.Movin
 def cmd_score(config: RunConfig, extraction_methods: Sequence[str]) -> None:
     """Score extracted target sets against the year-earlier call."""
 
+    from . import score
+
     targets_dir = _targets_dir(config)
     all_records: list[score.MovingTargetsScore] = []
     all_matches: list[score.CorpusMatch] = []
@@ -406,7 +423,7 @@ def cmd_score(config: RunConfig, extraction_methods: Sequence[str]) -> None:
             target_sets.append(_read_json(path, "malformed-target-set", _parse_target_set))
 
         embedder = None
-        if scoring_method == score.METHOD_SEMANTIC:
+        if scoring_method == METHOD_SEMANTIC:
             embedder = _build_embedder(config)
         result = score.score_corpus(
             target_sets,
@@ -475,6 +492,8 @@ def _try_alpha(
     *,
     subtract_rf: bool,
 ) -> bt.AlphaEstimate | None:
+    from . import backtest as bt
+
     if series is None:
         return None
     try:
@@ -497,6 +516,9 @@ def _read_summary_directions(config: RunConfig) -> dict[str, str]:
 def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> None:
     """Portfolio sorts, factor alphas, and cross-sectional regressions."""
 
+    from . import backtest as bt
+    from . import score
+
     if not config.returns_file.is_file():
         raise CliError("missing-returns-data", f"missing returns data: {config.returns_file}")
     if not config.factors_file.is_file():
@@ -512,7 +534,7 @@ def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> None:
     requested = [EXTRACTION_TO_SCORING[m] for m in extraction_methods]
     methods = [
         m
-        for m in (score.METHOD_DISCRETE, score.METHOD_SEMANTIC)
+        for m in (METHOD_DISCRETE, METHOD_SEMANTIC)
         if m in requested and any(r.method == m for r in records)
     ]
     if not methods:
@@ -679,15 +701,18 @@ def cmd_report_frequencies(
 # click wiring
 
 
-# Exceptions raised below the CLI, most specific first:
-# (exception type, error code, exit code).
-_ERRORS: tuple[tuple[type[Exception], str, int], ...] = (
-    (ConfigError, "invalid-config", EXIT_CONFIG),
-    (corpus.CorpusError, "malformed-input", EXIT_FAILURE),
-    (extract.ExtractionError, "extraction-error", EXIT_FAILURE),
-    (embed.EmbeddingError, "embedding-error", EXIT_FAILURE),
-    (bt.BacktestError, "backtest-error", EXIT_FAILURE),
-    (OSError, "io-error", EXIT_FAILURE),
+# Exceptions raised below the CLI, most specific first: (module, exception
+# class, error code, exit code). A class is looked up only in a module that
+# is already imported: an exception of a module that was never imported
+# cannot have been raised, and importing the module to map it would cost
+# the start-up that per-command imports save.
+_ERRORS: tuple[tuple[str, str, str, int], ...] = (
+    (f"{__package__}.config", "ConfigError", "invalid-config", EXIT_CONFIG),
+    (f"{__package__}.corpus", "CorpusError", "malformed-input", EXIT_FAILURE),
+    (f"{__package__}.extract", "ExtractionError", "extraction-error", EXIT_FAILURE),
+    (f"{__package__}.embed", "EmbeddingError", "embedding-error", EXIT_FAILURE),
+    (f"{__package__}.backtest", "BacktestError", "backtest-error", EXIT_FAILURE),
+    ("builtins", "OSError", "io-error", EXIT_FAILURE),
 )
 
 
@@ -708,8 +733,12 @@ def _run(
         command(config, _resolve_methods(method), *args)
     except CliError as exc:
         _fail(exc)
-    except tuple(kind for kind, _, _ in _ERRORS) as exc:
-        _fail(next(CliError(c, str(exc), x) for kind, c, x in _ERRORS if isinstance(exc, kind)))
+    except Exception as exc:
+        for module, name, code, exit_code in _ERRORS:
+            # A class of a module not imported is the empty tuple, which matches nothing.
+            if isinstance(exc, getattr(sys.modules.get(module), name, ())):
+                _fail(CliError(code, str(exc), exit_code))
+        raise
 
 
 config_option = click.option(

@@ -14,8 +14,16 @@ from typing import Any, Callable
 
 import yaml
 
-from .score import DIRECTION_MISSING, DIRECTION_RETENTION, DEFAULT_TAU
-from .score import EMPTY_CURRENT_PENALIZE, EMPTY_CURRENT_ZERO
+# The values that configure scoring. They live here, beside the settings,
+# so that loading a config does not import the scorer and numpy; ``score``
+# imports them from this module.
+METHOD_SEMANTIC = "semantic"
+METHOD_DISCRETE = "discrete"
+DIRECTION_RETENTION = "retention"
+DIRECTION_MISSING = "missing"
+EMPTY_CURRENT_PENALIZE = "penalize"
+EMPTY_CURRENT_ZERO = "zero"
+DEFAULT_TAU = 0.65
 
 EXTRACTOR_API_KEY_ENV = "MOVINGTARGETS_EXTRACTOR_API_KEY"
 ENCODER_API_KEY_ENV = "MOVINGTARGETS_ENCODER_API_KEY"
@@ -88,16 +96,36 @@ def _path(base: Path, value: object, key: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
+# ``_load`` prefixes the key to a scalar parser's error. ``bool`` is an
+# ``int`` in Python, so the parsers reject ``true``/``false`` where a number
+# or a name is meant.
+
+
 def _flag(value: Any) -> bool:
     # YAML reads ``"false"`` as a string, which ``bool`` would take as true.
     if not isinstance(value, int) or value not in (0, 1):
-        raise ConfigError(f"offline must be true, false, 0 or 1, got {value!r}")
+        raise ConfigError(f"must be true, false, 0 or 1, got {value!r}")
     return bool(value)
 
 
-def _model_id(value: Any) -> str:
-    if value is None:
-        raise ConfigError("model_id must not be null")
+def _real(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _count(value: Any) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ConfigError(f"must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _name(value: Any) -> str:
+    # A number is taken as written (``model_id: 7`` is the model "7").
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"must be a string, got {value!r}")
     return str(value)
 
 
@@ -109,15 +137,16 @@ _PARSE: dict[str, Callable[[Any], Any]] = {
     "returns_file": Path,
     "factors_file": Path,
     "out_dir": Path,
-    "tau": float,
-    "empty_current": str,
+    "tau": _real,
+    "empty_current": _name,
     "offline": _flag,
-    "model_id": _model_id,
+    "model_id": _name,
+    "endpoint": lambda value: None if value is None else _name(value),
     "recordings_dir": Path,
-    "parallelism": int,
-    "rate_limit": lambda value: None if value is None else float(value),
+    "parallelism": _count,
+    "rate_limit": lambda value: None if value is None else _real(value),
     "cache_dir": Path,
-    "batch_size": int,
+    "batch_size": _count,
 }
 
 
@@ -140,16 +169,19 @@ def _load(cls: type, doc: dict, base: Path, section: str | None = None) -> Any:
     values: dict[str, Any] = {}
     for f in fields:
         parse = _PARSE.get(f.name, lambda value: value)
+        key = f"{section}.{f.name}" if section else f.name
         if dataclasses.is_dataclass(f.default):
             nested = doc.get(f.name) or {}
             if not isinstance(nested, dict):
                 raise ConfigError(f"{f.name} section must be a mapping")
             values[f.name] = _load(type(f.default), nested, base, f.name)
         elif parse is Path and (f.name in doc or f.default is not None):
-            key = f"{section}.{f.name}" if section else f.name
             values[f.name] = _path(base, doc.get(f.name, str(f.default)), key)
         elif f.name in doc:
-            values[f.name] = parse(doc[f.name])
+            try:
+                values[f.name] = parse(doc[f.name])
+            except ValueError as exc:  # a ConfigError, or a string that is no number
+                raise ConfigError(f"{key}: {exc}") from None
     return cls(**values)
 
 
@@ -159,7 +191,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be a mapping: {path}")

@@ -145,7 +145,7 @@ def load_transcript(path: str | Path) -> Transcript:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
         raise CorpusError(f"malformed transcript file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorpusError(f"transcript root must be an object in {path}")
@@ -266,7 +266,7 @@ def _read_csv(path: Path, columns: Sequence[str]) -> list[dict[str, str]]:
                 if column not in header:
                     raise CorpusError(f"missing column {column!r} in {path}")
             return list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
 
 

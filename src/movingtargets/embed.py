@@ -16,10 +16,12 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 import numpy as np
-import requests
+
+if TYPE_CHECKING:  # only the HTTP client imports requests, when it runs
+    import requests
 
 
 class EmbeddingError(Exception):
@@ -87,7 +89,10 @@ class EmbeddingCache:
         path = self._path(model_id, label)
         if not path.is_file():
             return None
-        lines = path.read_text(encoding="utf-8").splitlines()
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise EmbeddingError(f"corrupt cache entry {path}: {exc}") from exc
         if len(lines) != 3 or lines[0] != model_id or lines[1] != label:
             raise EmbeddingError(f"corrupt cache entry {path}")
         try:
@@ -126,6 +131,8 @@ class HttpEncoderClient:
         timeout: float = 120.0,
         session: requests.Session | None = None,
     ) -> None:
+        import requests
+
         self.endpoint = endpoint
         self.model_id = model_id
         self.api_key = api_key
@@ -146,6 +153,8 @@ class HttpEncoderClient:
         ) from last_error
 
     def _embed_once(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

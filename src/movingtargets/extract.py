@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 from .corpus import ROLE_ANALYST, ROLE_OPERATOR, Transcript, YearQuarter
+
+if TYPE_CHECKING:  # only the HTTP client imports requests, when it runs
+    import requests
 
 SECTION_PRESENTATION = "presentation"
 SECTION_QA = "analyst_qa"
@@ -291,7 +292,10 @@ class RecordingStore:
         path = self._path(model_id, prompt)
         if not path.is_file():
             return None
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ExtractionError(f"unreadable recording {path.name}: {exc}") from exc
 
 
 class ReplayExtractorClient:
@@ -323,6 +327,8 @@ class HttpChatCompletionClient:
         timeout: float = 120.0,
         session: requests.Session | None = None,
     ) -> None:
+        import requests
+
         self.endpoint = endpoint
         self.model_id = model_id
         self.api_key = api_key
@@ -330,6 +336,8 @@ class HttpChatCompletionClient:
         self.session = session or requests.Session()
 
     def complete(self, prompt: str) -> str:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

@@ -34,21 +34,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# The scoring vocabulary is declared with the settings, in ``config``.
+from .config import (
+    DEFAULT_TAU,
+    DIRECTION_MISSING,
+    DIRECTION_RETENTION,
+    EMPTY_CURRENT_PENALIZE,
+    EMPTY_CURRENT_ZERO,
+    METHOD_DISCRETE,
+    METHOD_SEMANTIC,
+)
 from .corpus import YearQuarter, shift_quarters
 from .embed import DimensionMismatchError, EmbeddingError, EmbeddingVector
 from .extract import SECTION_PRESENTATION, SECTION_QA, TargetSet
 
-METHOD_SEMANTIC = "semantic"
-METHOD_DISCRETE = "discrete"
-DIRECTION_RETENTION = "retention"
-DIRECTION_MISSING = "missing"
-EMPTY_CURRENT_PENALIZE = "penalize"
-EMPTY_CURRENT_ZERO = "zero"
-
 SKIP_MISSING_PREVIOUS = "missing_previous_call"
 SKIP_EMPTY_PREVIOUS = "empty_previous_targets"
-
-DEFAULT_TAU = 0.65
 
 _NO_MATCH_SIMILARITY = -1.0
 

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from corpusgen import build_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +28,18 @@ def full_corpus(tmp_path_factory):
     return build_corpus(
         tmp_path_factory.mktemp("full_corpus"), n_firms=8, n_quarters=16, seed=11
     )
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run ``python *args`` as a child process that imports this checkout's package."""
+
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    return run

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusgen import ENCODER_MODEL, EXTRACTOR_MODEL
+from movingtargets import backtest
 from movingtargets import corpus as mt_corpus
 from movingtargets import extract
-from movingtargets.cli import main
+from movingtargets.cli import PORTFOLIO_METRICS, main
 from movingtargets.embed import EmbeddingCache
 
 
@@ -356,6 +357,10 @@ class TestConfigValidation:
         assert "recordings_dir" in result.output
 
 
+def test_portfolio_metrics_name_every_alpha_model():
+    assert tuple(model for _, model in PORTFOLIO_METRICS) == backtest.ALPHA_MODELS
+
+
 @pytest.fixture(scope="module")
 def pipeline_out(full_corpus, tmp_path_factory):
     """A complete set of outputs: extract, score, backtest and report-frequencies."""
@@ -489,11 +494,17 @@ def mutations(original):
     return truncated | flipped
 
 
+# (file, command). The file is named relative to a copy of the pipeline's
+# outputs, which also holds the copy of the corpus that the commands run on,
+# under ``corpus/`` (no command reads a subdirectory of the outputs but
+# ``targets/``). A mutated config may also exit 2, ``invalid-config``.
 FUZZED_INPUTS = [
     ("scores.csv", ["backtest"]),
     ("score_matches.csv", ["report-frequencies"]),
     ("score_summary.json", ["backtest"]),
     ("targets/*.llm.json", ["score", "--method", "llm"]),
+    ("corpus/config.yaml", ["score", "--method", "baseline"]),
+    ("corpus/transcripts/*.json", ["extract", "--method", "baseline"]),
 ]
 
 
@@ -501,17 +512,20 @@ FUZZED_INPUTS = [
 def test_mutated_input_exits_cleanly(full_corpus, pipeline_out, tmp_path, pattern, command):
     out = tmp_path / "out"
     shutil.copytree(pipeline_out, out)
+    shutil.copytree(full_corpus.root, out / "corpus")
     path = sorted(out.glob(pattern))[0]
+    exits = (0, 1, 2) if path.name == "config.yaml" else (0, 1)
     original = path.read_bytes()
     runner = CliRunner()
+    args = [*command, "--config", str(out / "corpus" / "config.yaml"), "--out-dir", str(out)]
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(mutations(original))
     def check(mutated):
         path.write_bytes(mutated)
-        result = invoke(runner, full_corpus, *command, out_dir=out)
+        result = runner.invoke(main, args)
         assert isinstance(result.exception, (type(None), SystemExit)), result.exception
-        assert result.exit_code in (0, 1)
+        assert result.exit_code in exits
         if result.exit_code:
             lines = result.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr

@@ -100,6 +100,41 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, MINIMAL + body))
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("tau: true\n", "tau: must be a number"),
+            ("extractor:\n  parallelism: true\n", "extractor.parallelism: must be a whole"),
+            ("extractor:\n  rate_limit: false\n", "extractor.rate_limit: must be a number"),
+            ("encoder:\n  batch_size: 2.7\n", "encoder.batch_size: must be a whole"),
+            ("encoder:\n  batch_size: '2.7'\n", "encoder.batch_size: invalid literal"),
+            ("extractor:\n  model_id: [a, b]\n", "extractor.model_id: must be a string"),
+            ("encoder:\n  model_id: {a: 1}\n", "encoder.model_id: must be a string"),
+            ("empty_current: [zero]\n", "empty_current: must be a string"),
+            ("extractor:\n  endpoint: [a, b]\n", "extractor.endpoint: must be a string"),
+        ],
+        ids=[
+            "bool-tau",
+            "bool-parallelism",
+            "bool-rate-limit",
+            "fractional-batch-size",
+            "quoted-fractional-batch-size",
+            "list-model-id",
+            "mapping-model-id",
+            "list-empty-current",
+            "list-endpoint",
+        ],
+    )
+    def test_loose_numbers_and_names_rejected(self, tmp_path, body, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, MINIMAL + body))
+
+    def test_integral_float_counts_load_as_ints(self, tmp_path):
+        body = MINIMAL + "extractor:\n  parallelism: 2.0\nencoder:\n  batch_size: 16.0\n"
+        config = load_config(write_config(tmp_path, body))
+        assert (config.extractor.parallelism, config.encoder.batch_size) == (2, 16)
+        assert isinstance(config.encoder.batch_size, int)
+
     def test_tau_bounds(self, tmp_path):
         with pytest.raises(ConfigError, match="tau"):
             load_config(write_config(tmp_path, MINIMAL + "tau: 0.0\n"))
@@ -117,6 +152,12 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, MINIMAL + "extractor:\n  parallelism: 0\n"))
         with pytest.raises(ConfigError, match="rate_limit"):
             load_config(write_config(tmp_path, MINIMAL + "extractor:\n  rate_limit: -1\n"))
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(b"\xe5" + MINIMAL.encode("utf-8"))
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(path)
 
     def test_unparseable_yaml(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

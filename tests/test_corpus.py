@@ -141,6 +141,12 @@ class TestLoadTranscript:
         with pytest.raises(CorpusError, match="malformed"):
             load_transcript(path)
 
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = write_transcript(tmp_path / "t.json")
+        path.write_bytes(b"\xfb" + path.read_bytes()[1:])
+        with pytest.raises(CorpusError, match="malformed"):
+            load_transcript(path)
+
     def test_requires_at_least_one_utterance(self, tmp_path):
         path = write_transcript(tmp_path / "t.json", utterances=[])
         with pytest.raises(CorpusError):
@@ -185,6 +191,12 @@ class TestLoadReturns:
             "firm,month,ret,mktcap,bm\nAAPL,2020-03,abc,1000,0.5\n", encoding="utf-8"
         )
         with pytest.raises(CorpusError, match="unparseable"):
+            load_returns(path)
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_bytes(b"firm,month,ret,mktcap,bm\nAAPL,2020-03,0.02,1000,0.5\xe5\n")
+        with pytest.raises(CorpusError, match="cannot read"):
             load_returns(path)
 
     def test_return_must_exceed_minus_one(self, tmp_path):

@@ -57,6 +57,14 @@ class TestEmbeddingCache:
         with pytest.raises(EmbeddingError, match="corrupt"):
             cache.get("enc", "label")
 
+    def test_undecodable_entry_detected(self, tmp_path):
+        cache = EmbeddingCache(tmp_path)
+        cache.put(EmbeddingVector((1.0, 2.0), "enc"), "label")
+        path = tmp_path / f"{EmbeddingCache.key('enc', 'label')}.txt"
+        path.write_bytes(path.read_bytes() + b"\xff\xfe")
+        with pytest.raises(EmbeddingError, match="corrupt"):
+            cache.get("enc", "label")
+
     def test_put_ignores_the_shared_temp_name(self, tmp_path):
         # Another process's leftover (or in-flight) "<key>.tmp" must not
         # block a write: every process uses its own temp name.

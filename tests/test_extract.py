@@ -332,6 +332,12 @@ class TestReplayClient:
         second = extract_targets_llm(transcript, client).target_set
         assert first == second
 
+    def test_undecodable_recording_is_extraction_error(self, tmp_path):
+        (tmp_path / f"{RecordingStore.key('fake-model', 'prompt')}.txt").write_bytes(b"{\xff}")
+        client = ReplayExtractorClient(RecordingStore(tmp_path), "fake-model")
+        with pytest.raises(ExtractionError, match="unreadable recording"):
+            client.complete("prompt")
+
     def test_missing_recording_raises(self, tmp_path):
         client = ReplayExtractorClient(RecordingStore(tmp_path), "fake-model")
         with pytest.raises(MissingRecordingError):

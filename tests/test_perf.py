@@ -1,18 +1,23 @@
-"""Timings of the hottest offline layers, with pytest-benchmark.
+"""Timings of the hottest offline layers and of start-up, with pytest-benchmark.
 
 Deselected by default; run with ``pytest -m perf``. The inputs match the
 benchmark's semantic-wide scoring (24 firms x 20 quarters x 16 labels from
 720 distinct labels at 3,072 dimensions), its history-long discrete scoring
 (16 firms x 48 quarters x 12 labels from 480) and its history-long backtest
-(16 firms x 48 quarters of scores).
+(16 firms x 48 quarters of scores). The start-up timings run a child
+process: ``import movingtargets.cli``, and one offline
+``report-frequencies`` on the fixture corpus, which imports neither numpy
+nor requests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from movingtargets.backtest import build_assignments
+from movingtargets.cli import main
 from movingtargets.corpus import YearQuarter, shift_quarters
 from movingtargets.embed import EmbeddingVector
 from movingtargets.extract import TargetLabel, TargetSet
@@ -102,3 +107,17 @@ def test_build_assignments(benchmark):
     ]
     result = benchmark(build_assignments, records)
     assert len(result.assignments) == 16 * 40
+
+
+def test_cli_import(benchmark, run_python):
+    result = benchmark(run_python, "-c", "import movingtargets.cli")
+    assert result.returncode == 0, result.stderr
+
+
+def test_report_frequencies_offline(benchmark, run_python, full_corpus, tmp_path):
+    out = tmp_path / "out"
+    args = ["--config", str(full_corpus.config_file), "--out-dir", str(out)]
+    for command in ("extract", "score"):
+        assert CliRunner().invoke(main, [command, *args]).exit_code == 0
+    result = benchmark(run_python, "-m", "movingtargets.cli", "report-frequencies", *args)
+    assert result.returncode == 0, result.stderr

@@ -1,0 +1,165 @@
+"""What each command loads, and its error contract, in a fresh interpreter.
+
+The other CLI tests run the commands in the pytest process, which has
+imported every module already. These start each command as its own process,
+as a user does, so they see what the command itself imports: offline
+``extract`` and ``report-frequencies`` load neither numpy nor requests,
+offline ``score`` and ``backtest`` load numpy only, and online ``extract``
+loads requests only.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import shutil
+import subprocess
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+
+import pytest
+import yaml
+
+from corpusgen import ENCODER_MODEL
+from movingtargets.embed import EmbeddingCache
+from movingtargets.extract import RecordingStore
+
+HEAVY = ("numpy", "requests")
+
+# Runs the CLI on ``argv[2:]`` and writes which of HEAVY it loaded to ``argv[1]``.
+RUNNER = (
+    "import sys\n"
+    "from movingtargets.cli import main\n"
+    "try:\n"
+    "    main(sys.argv[2:])\n"
+    "finally:\n"
+    "    with open(sys.argv[1], 'w') as handle:\n"
+    f"        handle.write(' '.join(m for m in {HEAVY!r} if m in sys.modules))\n"
+)
+
+
+@pytest.fixture(scope="session")
+def run_cli(run_python):
+    def run(tmp_path: Path, config: Path, out: Path, *args: str):
+        """(process, the modules of HEAVY it loaded) of one command."""
+
+        loaded = tmp_path / "loaded.txt"
+        result = run_python(
+            "-c", RUNNER, str(loaded), *args, "--config", str(config), "--out-dir", str(out)
+        )
+        return result, set(loaded.read_text(encoding="utf-8").split())
+
+    return run
+
+
+def one_error_line(result: subprocess.CompletedProcess, code: str) -> None:
+    assert result.returncode == 1, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {code}: "), result.stderr
+
+
+@pytest.fixture(scope="module")
+def offline_pass(full_corpus, tmp_path_factory, run_cli):
+    """Output dir of one offline pass, and the modules each command loaded."""
+
+    tmp = tmp_path_factory.mktemp("offline_pass")
+    out = tmp / "out"
+    loaded = {}
+    for command in ("extract", "score", "backtest", "report-frequencies"):
+        result, loaded[command] = run_cli(tmp, full_corpus.config_file, out, command)
+        assert result.returncode == 0, result.stderr
+    return out, loaded
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_requests(run_python):
+    result = run_python(
+        "-c",
+        "import sys, movingtargets.cli\n"
+        f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("extract", set()),
+        ("score", {"numpy"}),
+        ("backtest", {"numpy"}),
+        ("report-frequencies", set()),
+    ],
+)
+def test_offline_command_loads_only_what_it_runs(offline_pass, command, expected):
+    _, loaded = offline_pass
+    assert loaded[command] == expected
+
+
+class ChatStub(BaseHTTPRequestHandler):
+    """Answers chat completions from the recordings in ``server.store``."""
+
+    def do_POST(self) -> None:
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        content = self.server.store.get(payload["model"], payload["messages"][-1]["content"])
+        body = json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
+        self.send_response(200 if content is not None else 404)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args: object) -> None:
+        pass
+
+
+def test_online_extract_loads_requests_but_not_numpy(small_corpus, run_cli, tmp_path):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ChatStub)
+    server.store = RecordingStore(small_corpus.recordings_dir)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        doc = yaml.safe_load(small_corpus.config_file.read_text(encoding="utf-8"))
+        doc["offline"] = False
+        doc["extractor"]["endpoint"] = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+        for key in ("transcripts_dir", "returns_file", "factors_file"):
+            doc[key] = str(small_corpus.root / doc[key])
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        result, loaded = run_cli(tmp_path, config, out, "extract", "--method", "llm")
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert result.returncode == 0, result.stderr
+    assert len(list((out / "targets").glob("*.llm.json"))) == 24
+    assert loaded == {"requests"}
+
+
+def test_corrupt_cache_entry_is_one_embedding_error_line(
+    full_corpus, offline_pass, run_cli, tmp_path
+):
+    pipeline_out, _ = offline_pass
+    root = tmp_path / "corpus"
+    shutil.copytree(full_corpus.root, root)
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    with (out / "score_matches.csv").open(newline="", encoding="utf-8") as handle:
+        label = next(r["label"] for r in csv.DictReader(handle) if r["method"] == "semantic")
+    entry = root / "embedding_cache" / f"{EmbeddingCache.key(ENCODER_MODEL, label)}.txt"
+    model_id, cached_label, vector = entry.read_text(encoding="utf-8").splitlines()
+    entry.write_text(f"{model_id}\n{cached_label}\nabc {vector}\n", encoding="utf-8")
+    result, _ = run_cli(tmp_path, root / "config.yaml", out, "score")
+    one_error_line(result, "embedding-error")
+
+
+def test_malformed_score_table_is_one_error_line(full_corpus, offline_pass, run_cli, tmp_path):
+    pipeline_out, _ = offline_pass
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    scores = out / "scores.csv"
+    header, first, *rest = scores.read_text(encoding="utf-8").splitlines(keepends=True)
+    firm, _, tail = first.split(",", 2)
+    scores.write_text("".join([header, f"{firm},20x9,{tail}", *rest]), encoding="utf-8")
+    result, _ = run_cli(tmp_path, full_corpus.config_file, out, "backtest")
+    one_error_line(result, "malformed-score-table")
