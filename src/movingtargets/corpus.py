@@ -138,6 +138,7 @@ def _infer_role(speaker: str) -> str:
 def load_transcript(path: str | Path) -> Transcript:
     """Load one transcript file: {firm, year, quarter, utterances:[...]}.
 
+    The firm id names output files, so it may not contain '/', '\\' or NUL.
     Utterance indices must run contiguously from zero and every utterance
     text must be non-empty; roles are inferred from the speaker tag.
     """
@@ -158,6 +159,8 @@ def load_transcript(path: str | Path) -> Transcript:
         raise CorpusError(f"malformed transcript header in {path}: {exc}") from exc
     if not firm:
         raise CorpusError(f"empty firm id in {path}")
+    if any(ch in firm for ch in "/\\\0"):
+        raise CorpusError(f"firm id {firm!r} contains a path separator or NUL in {path}")
     if not isinstance(raw_utterances, list) or not raw_utterances:
         raise CorpusError(f"transcript must contain at least one utterance: {path}")
 

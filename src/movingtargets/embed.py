@@ -13,15 +13,13 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import Any, Iterable, Protocol, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # only the HTTP client imports requests, when it runs
-    import requests
+from .transport import JsonEndpointClient, with_retries
 
 
 class EmbeddingError(Exception):
@@ -113,77 +111,27 @@ class EmbeddingCache:
             os.replace(tmp, path)
 
 
-# Attempts per encoder batch in all, and the wait before the second one;
-# each later wait doubles.
-TRANSPORT_ATTEMPTS = 3
-BACKOFF_BASE_S = 0.5
+class HttpEncoderClient(JsonEndpointClient):
+    """Embeddings client for an OpenAI-style endpoint."""
 
-
-class HttpEncoderClient:
-    """Minimal embeddings transport against an OpenAI-style endpoint."""
-
-    def __init__(
-        self,
-        endpoint: str,
-        model_id: str,
-        api_key: str | None = None,
-        *,
-        timeout: float = 120.0,
-        session: requests.Session | None = None,
-    ) -> None:
-        import requests
-
-        self.endpoint = endpoint
-        self.model_id = model_id
-        self.api_key = api_key
-        self.timeout = timeout
-        self.session = session or requests.Session()
+    role = "encoder"
+    payload_kind = "embeddings"
+    transient_error = EncoderTransportError
+    final_error = EmbeddingError
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        last_error: Exception | None = None
-        for attempt in range(TRANSPORT_ATTEMPTS):
-            if attempt:
-                time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
-            try:
-                return self._embed_once(texts)
-            except EncoderTransportError as exc:
-                last_error = exc
-        raise EncoderTransportError(
-            f"encoder transport failed after {TRANSPORT_ATTEMPTS} attempts"
-        ) from last_error
-
-    def _embed_once(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         payload = {"model": self.model_id, "input": list(texts)}
-        try:
-            response = self.session.post(
-                self.endpoint, json=payload, headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise EncoderTransportError(f"encoder request failed: {exc}") from exc
-        if response.status_code >= 500 or response.status_code == 429:
-            raise EncoderTransportError(f"encoder endpoint returned {response.status_code}")
-        if response.status_code != 200:
-            raise EmbeddingError(
-                f"encoder endpoint returned {response.status_code}: {response.text[:200]}"
-            )
-        try:
-            items = sorted(response.json()["data"], key=lambda item: item["index"])
-            vectors = [
+
+        def read(doc: Any) -> list[EmbeddingVector]:
+            items = sorted(doc["data"], key=lambda item: item["index"])
+            if [item["index"] for item in items] != list(range(len(texts))):
+                raise ValueError(f"indices are not 0..{len(texts) - 1}")
+            return [
                 EmbeddingVector(tuple(float(v) for v in item["embedding"]), self.model_id)
                 for item in items
             ]
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise EmbeddingError(f"unexpected embeddings payload: {exc}") from exc
-        if len(vectors) != len(texts):
-            raise EmbeddingError(
-                f"encoder returned {len(vectors)} vectors for {len(texts)} inputs"
-            )
-        return vectors
+
+        return with_retries(lambda: self.post(payload, read), EncoderTransportError)
 
 
 class HashingEncoderClient:

@@ -25,12 +25,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
 from .corpus import ROLE_ANALYST, ROLE_OPERATOR, Transcript, YearQuarter
-
-if TYPE_CHECKING:  # only the HTTP client imports requests, when it runs
-    import requests
+from .transport import JsonEndpointClient, with_retries
 
 SECTION_PRESENTATION = "presentation"
 SECTION_QA = "analyst_qa"
@@ -315,53 +313,21 @@ class ReplayExtractorClient:
         return response
 
 
-class HttpChatCompletionClient:
-    """Minimal chat-completion transport against an OpenAI-style endpoint."""
+class HttpChatCompletionClient(JsonEndpointClient):
+    """Chat-completion client for an OpenAI-style endpoint; one POST per call."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model_id: str,
-        api_key: str | None = None,
-        *,
-        timeout: float = 120.0,
-        session: requests.Session | None = None,
-    ) -> None:
-        import requests
-
-        self.endpoint = endpoint
-        self.model_id = model_id
-        self.api_key = api_key
-        self.timeout = timeout
-        self.session = session or requests.Session()
+    role = "extractor"
+    payload_kind = "completion"
+    transient_error = TransportError
+    final_error = ExtractionError
 
     def complete(self, prompt: str) -> str:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         payload = {
             "model": self.model_id,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": 0,
         }
-        try:
-            response = self.session.post(
-                self.endpoint, json=payload, headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"extractor request failed: {exc}") from exc
-        if response.status_code >= 500 or response.status_code == 429:
-            raise TransportError(f"extractor endpoint returned {response.status_code}")
-        if response.status_code != 200:
-            raise ExtractionError(
-                f"extractor endpoint returned {response.status_code}: {response.text[:200]}"
-            )
-        try:
-            content = response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
-            raise ExtractionError(f"unexpected completion payload: {exc}") from exc
+        content = self.post(payload, lambda doc: doc["choices"][0]["message"]["content"])
         if not isinstance(content, str):
             raise ResponseFormatError(f"completion content must be a string, got {content!r}")
         return content
@@ -370,11 +336,11 @@ class HttpChatCompletionClient:
 class TokenBucket:
     """Thread-safe token bucket; acquire() blocks until a token is free."""
 
-    def __init__(self, rate: float, capacity: float | None = None) -> None:
+    def __init__(self, rate: float) -> None:
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate
-        self.capacity = capacity if capacity is not None else max(1.0, rate)
+        self.capacity = max(1.0, rate)
         self._tokens = self.capacity
         self._stamp = time.monotonic()
         self._lock = threading.Lock()
@@ -408,11 +374,6 @@ class RateLimitedExtractorClient:
         return self._client.complete(prompt)
 
 
-# Transport retries of one extraction: attempts in all, and the first wait.
-TRANSPORT_ATTEMPTS = 3
-BACKOFF_BASE_S = 0.5
-
-
 @dataclass(frozen=True)
 class LlmExtraction:
     target_set: TargetSet
@@ -424,48 +385,37 @@ def extract_targets_llm(
     transcript: Transcript,
     client: ExtractorClient,
     *,
-    sleep: Callable[[float], None] = time.sleep,
+    sleep: Callable[[float], None] | None = None,
 ) -> LlmExtraction:
     """Extract targets for one transcript in a single prompt round trip.
 
-    Transport failures are retried up to ``TRANSPORT_ATTEMPTS`` times in
-    all, waiting ``BACKOFF_BASE_S`` and then twice as long each time; a
-    malformed response is retried once, after which the firm-quarter is
-    reported unextractable.
+    Each request retries transport failures under ``transport.with_retries``;
+    a malformed response is asked for once more, with a fresh transport
+    budget, after which the firm-quarter is reported unextractable.
+    ``attempts`` counts every ``complete`` call.
     """
 
     prompt = build_extraction_prompt(transcript)
-    transport_attempts = 0
-    parse_attempts = 0
+    where = f"{transcript.firm} {transcript.period}"
     calls = 0
-    while True:
+
+    def complete() -> str:
+        nonlocal calls
         calls += 1
+        return client.complete(prompt)
+
+    for _ in range(2):
         try:
+            raw = with_retries(complete, TransportError, sleep)
             parsed = parse_extraction_response(
-                client.complete(prompt),
-                len(transcript),
-                firm=transcript.firm,
-                period=transcript.period,
+                raw, len(transcript), firm=transcript.firm, period=transcript.period
             )
+            return LlmExtraction(parsed.target_set, parsed.violations, attempts=calls)
         except TransportError as exc:
-            transport_attempts += 1
-            if transport_attempts >= TRANSPORT_ATTEMPTS:
-                raise UnextractableError(
-                    f"{transcript.firm} {transcript.period}: transport failed "
-                    f"after {transport_attempts} attempts"
-                ) from exc
-            sleep(BACKOFF_BASE_S * 2 ** (transport_attempts - 1))
-            continue
+            raise UnextractableError(f"{where}: {exc}") from exc
         except ResponseFormatError as exc:
-            parse_attempts += 1
-            if parse_attempts > 1:
-                raise UnextractableError(
-                    f"{transcript.firm} {transcript.period}: unparseable response"
-                ) from exc
-            continue
-        return LlmExtraction(
-            target_set=parsed.target_set, violations=parsed.violations, attempts=calls
-        )
+            malformed = exc
+    raise UnextractableError(f"{where}: unparseable response") from malformed
 
 
 # Keyword heads the baseline treats as targets. The scan is deliberately

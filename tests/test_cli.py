@@ -112,6 +112,32 @@ class TestExtractCommand:
         assert len(list((out / "targets").glob("*.llm.json"))) == 23
         assert len(list((out / "targets").glob("*.baseline.json"))) == 24
 
+    @pytest.mark.parametrize("firm", ["../../escaped", "AA\0PL"])
+    def test_firm_id_that_is_no_file_name_is_per_file_error(
+        self, runner, small_corpus, tmp_path, firm
+    ):
+        root = tmp_path / "corpus"
+        shutil.copytree(small_corpus.root, root)
+        bad = root / "transcripts" / "AAPL_2019Q1.json"
+        doc = json.loads(bad.read_text(encoding="utf-8"))
+        bad.write_text(json.dumps({**doc, "firm": firm}), encoding="utf-8")
+        run = tmp_path / "run"
+        out = run / "out"
+        result = runner.invoke(
+            main,
+            ["extract", "--method", "baseline", "--config", str(root / "config.yaml"),
+             "--out-dir", str(out)],
+        )
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [PARTIAL_EXTRACTION_LINE]
+        diagnostics = json.loads((out / "extract_diagnostics.json").read_text())
+        assert [e["file"] for e in diagnostics["errors"]] == ["AAPL_2019Q1.json"]
+        written = [p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file()]
+        targets = [name for name in written if name.startswith("out/targets/")]
+        assert len(targets) == 23
+        assert sorted(set(written) - set(targets)) == ["out/extract_diagnostics.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "run"]
+
     def test_rerun_removes_sets_of_vanished_transcripts(self, runner, small_corpus, tmp_path):
         root = tmp_path / "corpus"
         shutil.copytree(small_corpus.root, root)

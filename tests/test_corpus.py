@@ -147,6 +147,12 @@ class TestLoadTranscript:
         with pytest.raises(CorpusError, match="malformed"):
             load_transcript(path)
 
+    @pytest.mark.parametrize("firm", ["../../escaped", "A/B", "A\\B", "AA\0PL"])
+    def test_firm_id_with_path_separator_or_nul_rejected(self, tmp_path, firm):
+        path = write_transcript(tmp_path / "t.json", firm=firm)
+        with pytest.raises(CorpusError, match="path separator or NUL"):
+            load_transcript(path)
+
     def test_requires_at_least_one_utterance(self, tmp_path):
         path = write_transcript(tmp_path / "t.json", utterances=[])
         with pytest.raises(CorpusError):

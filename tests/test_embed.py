@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from movingtargets import embed
+from movingtargets import transport
 from movingtargets.embed import (
     DimensionMismatchError,
     EmbeddingCache,
@@ -17,6 +17,8 @@ from movingtargets.embed import (
     MissingEmbeddingError,
     embed_labels,
 )
+
+from test_transport import StubResponse, StubSession
 
 
 def vec(*values, model_id="m"):
@@ -170,31 +172,6 @@ class TestHashingEncoder:
         assert abs(float(np.dot(a.values, b.values))) < 0.4
 
 
-class StubResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
-
-
-class StubSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def post(self, url, **kwargs):
-        self.requests.append((url, kwargs))
-        outcome = self.responses.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
 class TestHttpEncoderClient:
     def test_parses_openai_style_payload(self):
         payload = {
@@ -210,7 +187,7 @@ class TestHttpEncoderClient:
         assert vectors[1].values == (0.0, 1.0)
 
     def test_server_errors_retried_then_raised(self, monkeypatch):
-        monkeypatch.setattr(embed.time, "sleep", lambda seconds: None)
+        monkeypatch.setattr(transport.time, "sleep", lambda seconds: None)
         session = StubSession([StubResponse(500)] * 3)
         client = HttpEncoderClient("http://enc", "enc-model", session=session)
         with pytest.raises(EncoderTransportError, match="after 3 attempts"):
@@ -222,7 +199,7 @@ class TestHttpEncoderClient:
     )
     def test_rate_limit_retried_with_backoff(self, monkeypatch, codes, waits):
         slept = []
-        monkeypatch.setattr(embed.time, "sleep", slept.append)
+        monkeypatch.setattr(transport.time, "sleep", slept.append)
         payload = {"data": [{"index": 0, "embedding": [1.0, 0.0]}]}
         session = StubSession(StubResponse(c, payload if c == 200 else None) for c in codes)
         client = HttpEncoderClient("http://enc", "enc-model", session=session)
@@ -236,3 +213,20 @@ class TestHttpEncoderClient:
         with pytest.raises(EmbeddingError, match="401"):
             client.embed(["x"])
         assert len(session.requests) == 1
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[1, 1], [5, 7], [0, 2], [1], [0, 1, 2]],
+        ids=["duplicate", "out-of-range", "gap", "missing", "extra"],
+    )
+    def test_indices_must_be_zero_to_n_and_nothing_is_cached(self, tmp_path, indices):
+        payload = {
+            "data": [{"index": i, "embedding": [1.0, float(i)]} for i in indices]
+        }
+        session = StubSession([StubResponse(200, payload)])
+        client = HttpEncoderClient("http://enc", "enc-model", session=session)
+        cache = EmbeddingCache(tmp_path)
+        with pytest.raises(EmbeddingError, match="unexpected embeddings payload"):
+            embed_labels(["first", "second"], client, cache)
+        assert len(session.requests) == 1
+        assert list(tmp_path.rglob("*")) == []

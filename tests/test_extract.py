@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from movingtargets import extract
 from movingtargets.corpus import Transcript, Utterance, YearQuarter
 from movingtargets.extract import (
     METHOD_LLM,
@@ -34,6 +35,7 @@ from movingtargets.extract import (
 )
 
 from oracles import merged_texts_reference
+from test_transport import StubResponse, StubSession
 
 GOLDEN = Path(__file__).parent / "data" / "prompt_golden.txt"
 INPUT_SLOT = "<inputs>earnings-call transcript as indexed JSON dialog</inputs>"
@@ -305,6 +307,14 @@ class TestExtractTargetsLlm:
             extract_targets_llm(make_transcript(), client, sleep=lambda _: None)
         assert len(client.prompts) == 3
 
+    def test_each_request_gets_its_own_transport_budget(self):
+        boom = TransportError("boom")
+        client = FakeClient([boom, boom, "not json", boom, boom, GOOD_RESPONSE])
+        waits = []
+        outcome = extract_targets_llm(make_transcript(), client, sleep=waits.append)
+        assert outcome.attempts == 6
+        assert waits == [0.5, 1.0, 0.5, 1.0]
+
     def test_parse_failure_retried_once(self):
         client = FakeClient(["not json", GOOD_RESPONSE])
         outcome = extract_targets_llm(make_transcript(), client)
@@ -346,31 +356,6 @@ class TestReplayClient:
     def test_key_depends_on_model_and_prompt(self):
         assert RecordingStore.key("m1", "p") != RecordingStore.key("m2", "p")
         assert RecordingStore.key("m1", "p") != RecordingStore.key("m1", "q")
-
-
-class StubResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json body")
-        return self._payload
-
-
-class StubSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def post(self, url, **kwargs):
-        self.requests.append((url, kwargs))
-        outcome = self.responses.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
 
 
 class TestHttpChatCompletionClient:
@@ -436,8 +421,13 @@ class TestHttpChatCompletionClient:
 
 
 class TestRateLimiting:
-    def test_token_bucket_hands_out_capacity_without_blocking(self):
-        bucket = TokenBucket(rate=1000.0, capacity=3)
+    def test_token_bucket_hands_out_capacity_without_blocking(self, monkeypatch):
+        bucket = TokenBucket(rate=3.0)
+
+        def blocked(seconds):
+            raise AssertionError(f"acquire blocked for {seconds} s within the burst")
+
+        monkeypatch.setattr(extract.time, "sleep", blocked)
         for _ in range(3):
             bucket.acquire()
 
@@ -460,11 +450,12 @@ class TestRateLimiting:
     def test_exhausted_bucket_blocks_until_refill(self):
         import time
 
-        bucket = TokenBucket(rate=200.0, capacity=1)
-        bucket.acquire()
+        bucket = TokenBucket(rate=5.0)
+        for _ in range(5):
+            bucket.acquire()
         started = time.monotonic()
         bucket.acquire()
-        assert time.monotonic() - started >= 0.002
+        assert time.monotonic() - started >= 0.1
 
 
 class TestBaselineExtractor:

@@ -5,11 +5,13 @@ imported every module already. These start each command as its own process,
 as a user does, so they see what the command itself imports: offline
 ``extract`` and ``report-frequencies`` load neither numpy nor requests,
 offline ``score`` and ``backtest`` load numpy only, and online ``extract``
-loads requests only.
+loads requests only. Online ``score`` runs here too, so a retry goes through
+a real ``requests.Session``.
 """
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import shutil
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import movingtargets
 from corpusgen import ENCODER_MODEL
 from movingtargets.embed import EmbeddingCache
 from movingtargets.extract import RecordingStore
@@ -70,6 +73,21 @@ def offline_pass(full_corpus, tmp_path_factory, run_cli):
         result, loaded[command] = run_cli(tmp, full_corpus.config_file, out, command)
         assert result.returncode == 0, result.stderr
     return out, loaded
+
+
+def test_only_the_transport_imports_requests():
+    importers = set()
+    for path in Path(movingtargets.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.partition(".")[0] == "requests" for module in modules):
+                importers.add(path.name)
+    assert importers == {"transport.py"}
 
 
 def test_importing_the_cli_loads_neither_numpy_nor_requests(run_python):
@@ -134,6 +152,61 @@ def test_online_extract_loads_requests_but_not_numpy(small_corpus, run_cli, tmp_
     assert result.returncode == 0, result.stderr
     assert len(list((out / "targets").glob("*.llm.json"))) == 24
     assert loaded == {"requests"}
+
+
+class EmbeddingsStub(BaseHTTPRequestHandler):
+    """Answers 503 to the first request, then embeddings from ``server.cache``."""
+
+    def do_POST(self) -> None:
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        status = 503 if not self.server.statuses else 200
+        self.server.statuses.append(status)
+        data = [
+            {"index": i, "embedding": list(self.server.cache.get(payload["model"], text).values)}
+            for i, text in enumerate(payload["input"])
+        ]
+        body = json.dumps({"data": data} if status == 200 else {}).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args: object) -> None:
+        pass
+
+
+def test_online_score_retries_and_matches_offline(full_corpus, offline_pass, run_cli, tmp_path):
+    pipeline_out, _ = offline_pass
+    offline_out, online_out = tmp_path / "offline", tmp_path / "online"
+    shutil.copytree(pipeline_out, offline_out)
+    shutil.copytree(pipeline_out, online_out)
+    result, _ = run_cli(tmp_path, full_corpus.config_file, offline_out, "score", "--method", "llm")
+    assert result.returncode == 0, result.stderr
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), EmbeddingsStub)
+    server.cache = EmbeddingCache(full_corpus.cache_dir)
+    server.statuses = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        doc = yaml.safe_load(full_corpus.config_file.read_text(encoding="utf-8"))
+        doc["offline"] = False
+        doc["encoder"]["endpoint"] = f"http://127.0.0.1:{server.server_port}/v1/embeddings"
+        doc["encoder"]["cache_dir"] = str(tmp_path / "cold_cache")
+        for key in ("transcripts_dir", "returns_file", "factors_file"):
+            doc[key] = str(full_corpus.root / doc[key])
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        result, loaded = run_cli(tmp_path, config, online_out, "score", "--method", "llm")
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert result.returncode == 0, result.stderr
+    assert loaded == {"numpy", "requests"}
+    assert server.statuses[:2] == [503, 200] and set(server.statuses[1:]) == {200}
+    for name in ("scores.csv", "score_matches.csv", "score_summary.json"):
+        assert (online_out / name).read_bytes() == (offline_out / name).read_bytes(), name
 
 
 def test_corrupt_cache_entry_is_one_embedding_error_line(
