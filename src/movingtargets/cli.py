@@ -125,10 +125,6 @@ def _resolve_methods(flag: str) -> list[str]:
     return [flag]
 
 
-def _period_tag(period: corpus.YearQuarter) -> str:
-    return f"{period.year:04d}Q{period.quarter}"
-
-
 def _targets_dir(config: RunConfig) -> Path:
     return config.out_dir / "targets"
 
@@ -207,7 +203,7 @@ def _read_json(path: Path, code: str, parse: Callable[[Any], T]) -> T:
 def _write_target_set(targets_dir: Path, target_set: extract.TargetSet) -> str:
     """Write ``target_set`` under ``targets_dir`` and return the file's name."""
 
-    name = f"{target_set.firm}_{_period_tag(target_set.period)}.{target_set.method}.json"
+    name = f"{target_set.firm}_{target_set.period}.{target_set.method}.json"
     payload = {
         "firm": target_set.firm,
         "year": target_set.period.year,
@@ -275,11 +271,19 @@ def cmd_extract(config: RunConfig, extraction_methods: Sequence[str]) -> None:
 
     errors: list[dict[str, str]] = []
     transcripts: list[corpus.Transcript] = []
+    # The first file in sorted order holds a firm-quarter; a later one is an error.
+    first_file: dict[tuple[str, corpus.YearQuarter], str] = {}
     for path in files:
         try:
-            transcripts.append(corpus.load_transcript(path))
+            transcript = corpus.load_transcript(path)
         except corpus.CorpusError as exc:
             errors.append({"file": path.name, "error": str(exc).replace(str(path), path.name)})
+            continue
+        first = first_file.setdefault((transcript.firm, transcript.period), path.name)
+        if first != path.name:
+            errors.append({"file": path.name, "error": f"repeats the firm-quarter of {first}"})
+            continue
+        transcripts.append(transcript)
 
     violations: dict[str, Counter] = {m: Counter() for m in extraction_methods}
     written: set[str] = set()
@@ -304,7 +308,7 @@ def cmd_extract(config: RunConfig, extraction_methods: Sequence[str]) -> None:
             if outcome is None:
                 errors.append(
                     {
-                        "file": f"{transcript.firm}_{_period_tag(transcript.period)}",
+                        "file": f"{transcript.firm}_{transcript.period}",
                         "error": error or "extraction failed",
                     }
                 )
@@ -419,8 +423,16 @@ def cmd_score(config: RunConfig, extraction_methods: Sequence[str]) -> None:
                 f"no {extraction_method} target-set files under {targets_dir}; run extract first",
             )
         target_sets = []
+        first_file: dict[tuple[str, corpus.YearQuarter], str] = {}
         for path in files:
-            target_sets.append(_read_json(path, "malformed-target-set", _parse_target_set))
+            target_set = _read_json(path, "malformed-target-set", _parse_target_set)
+            first = first_file.setdefault((target_set.firm, target_set.period), path.name)
+            if first != path.name:
+                raise CliError(
+                    "malformed-target-set",
+                    f"{path.name} and {first} both hold {target_set.firm} {target_set.period}",
+                )
+            target_sets.append(target_set)
 
         embedder = None
         if scoring_method == METHOD_SEMANTIC:

@@ -1,16 +1,20 @@
-"""Label embeddings: pluggable encoder clients and a file cache.
+"""Label embeddings: pluggable encoder clients, a file cache and the one
+check on vectors.
 
-Vectors are stored exactly as delivered (no pre-normalization); ``score``
-stacks the vectors of one model into a matrix and scales each row once. The
-cache holds one plain-text file per (model, label) key so cached vectors can
-be audited and replayed offline; write-then-read returns bit-identical
-values, and an entry that does not parse into a valid vector is reported as
-corrupt.
+Vectors are stored exactly as delivered (no pre-normalization). ``unit_rows``
+is the only rule for a usable vector: one dimension per model and a finite,
+non-zero row norm. ``embed_labels`` runs it on every fresh encoder batch
+before anything is cached, and ``score`` runs it on the stacked vocabulary
+of one model, whose rows it scales to unit norm once. The cache holds one
+plain-text file per (model, label) key so cached vectors can be audited and
+replayed offline; write-then-read returns bit-identical values, and an entry
+that does not parse into a vector is reported as corrupt.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -38,6 +42,14 @@ class MissingEmbeddingError(EmbeddingError):
     """Offline mode found labels with no cached vector."""
 
 
+class NormError(EmbeddingError):
+    """Row ``row`` of a stacked set of vectors has a zero or non-finite norm."""
+
+    def __init__(self, row: int, count: int, norm: float) -> None:
+        super().__init__(f"embedding vector {row} of {count} has norm {norm}")
+        self.row = row
+
+
 @dataclass(frozen=True)
 class EmbeddingVector:
     """Dense embedding of one label, tagged with its encoder model."""
@@ -48,8 +60,6 @@ class EmbeddingVector:
     def __post_init__(self) -> None:
         if len(self.values) == 0:
             raise ValueError("embedding vector must be non-empty")
-        if all(v == 0.0 for v in self.values):
-            raise ValueError("embedding vector must not be all-zero")
 
     @property
     def dim(self) -> int:
@@ -62,6 +72,34 @@ class EncoderClient(Protocol):
     model_id: str
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]: ...
+
+
+def unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
+    """Stack ``vectors`` into one float64 matrix whose rows have unit norm.
+
+    Each row's norm is reduced on its own, so no temporary the size of the
+    matrix is made; a row's norm has the same bits as in a norm taken over
+    the rows of any set that holds it. Raises ``DimensionMismatchError`` for
+    vectors of different lengths and ``NormError`` for a zero or non-finite
+    norm.
+    """
+
+    dims = {v.dim for v in vectors}
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"dimension mismatch: vectors of lengths {sorted(dims)}")
+    matrix = np.empty((len(vectors), dims.pop() if dims else 0))
+    norms = np.empty((len(vectors), 1))
+    # A norm that overflows is rejected below as not finite.
+    with np.errstate(over="ignore"):
+        for i, vector in enumerate(vectors):
+            matrix[i] = vector.values
+            norms[i] = np.linalg.norm(matrix[i : i + 1], axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+    if bad.size:
+        i = int(bad[0])
+        raise NormError(i, len(vectors), float(norms[i, 0]))
+    matrix /= norms
+    return matrix
 
 
 class EmbeddingCache:
@@ -134,31 +172,6 @@ class HttpEncoderClient(JsonEndpointClient):
         return with_retries(lambda: self.post(payload, read), EncoderTransportError)
 
 
-class HashingEncoderClient:
-    """Deterministic local encoder: unit vectors seeded by the label text.
-
-    No semantic content; identical texts map to identical vectors and
-    distinct texts to near-orthogonal ones, which is enough for offline
-    fixtures and plumbing tests.
-    """
-
-    def __init__(self, model_id: str = "hash-v1", dim: int = 256) -> None:
-        if dim <= 0:
-            raise ValueError("dim must be positive")
-        self.model_id = model_id
-        self.dim = dim
-
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        vectors = []
-        for text in texts:
-            digest = hashlib.sha256(f"{self.model_id}\n{text}".encode("utf-8")).digest()
-            seed = int.from_bytes(digest[:8], "big")
-            raw = np.random.default_rng(seed).standard_normal(self.dim)
-            unit = raw / float(np.linalg.norm(raw))
-            vectors.append(EmbeddingVector(tuple(float(v) for v in unit), self.model_id))
-        return vectors
-
-
 def _chunks(items: Sequence[str], size: int) -> Iterable[Sequence[str]]:
     for start in range(0, len(items), size):
         yield items[start : start + size]
@@ -189,19 +202,6 @@ def embed_labels(
         if not label:
             raise ValueError("labels must be non-empty strings")
 
-    expected_dim: int | None = None
-
-    def check_dim(vector: EmbeddingVector) -> EmbeddingVector:
-        nonlocal expected_dim
-        if expected_dim is None:
-            expected_dim = vector.dim
-        elif vector.dim != expected_dim:
-            raise DimensionMismatchError(
-                f"dimension mismatch for model {model_id!r}: "
-                f"{vector.dim} vs {expected_dim}"
-            )
-        return vector
-
     resolved: dict[str, EmbeddingVector] = {}
     missing: list[str] = []
     for label in dict.fromkeys(labels):
@@ -209,7 +209,7 @@ def embed_labels(
         if cached is None:
             missing.append(label)
         else:
-            resolved[label] = check_dim(cached)
+            resolved[label] = cached
 
     if missing:
         if client is None:
@@ -224,21 +224,20 @@ def embed_labels(
                 raise EmbeddingError(
                     f"encoder returned {len(vectors)} vectors for {len(batch)} labels"
                 )
-            for label, vector in zip(batch, vectors):
+            for vector in vectors:
                 if vector.model_id != model_id:
                     raise EmbeddingError(
                         f"encoder returned model {vector.model_id!r}, expected {model_id!r}"
                     )
-                check_dim(vector)
-                # The row norm ``score.unit_rows`` takes, so a vector cached
-                # here is one it accepts.
-                with np.errstate(over="ignore"):
-                    norm = float(np.linalg.norm(np.array([vector.values]), axis=1)[0])
-                if not np.isfinite(norm) or norm == 0.0:
-                    raise EmbeddingError(
-                        f"encoder returned a vector of norm {norm} for label {label!r} "
-                        f"of model {model_id!r}"
-                    )
+            # One vector already resolved fixes the model's dimension. The bad
+            # row may be that one, so its label is checked along with the batch.
+            checked = [*zip(batch, vectors), *itertools.islice(resolved.items(), 1)]
+            try:
+                unit_rows([vector for _, vector in checked])
+            except NormError as exc:
+                raise EmbeddingError(
+                    f"label {checked[exc.row][0]!r} of model {model_id!r}: {exc}"
+                ) from exc
             for label, vector in zip(batch, vectors):
                 cache.put(vector, label)
                 resolved[label] = vector

@@ -98,6 +98,8 @@ class TargetSet:
             if label.section not in SECTIONS:
                 raise ValueError(f"unknown section {label.section!r}")
             text = normalize_label(label.text)
+            if not text:
+                raise ValueError(f"empty label {label.text!r} in {label.section}")
             if text in by_section[label.section]:
                 raise ValueError(f"duplicate label {label.text!r} in {label.section}")
             by_section[label.section][text] = None
@@ -183,7 +185,6 @@ def build_extraction_prompt(transcript: Transcript) -> str:
 class ParsedExtraction:
     target_set: TargetSet
     violations: Counter
-    dropped: tuple[str, ...]
 
 
 def parse_extraction_response(
@@ -214,20 +215,18 @@ def parse_extraction_response(
             raise ResponseFormatError(f"top-level key {section!r} must be a list")
 
     violations: Counter = Counter()
-    dropped = []
     kept: list[TargetLabel] = []
     for section in SECTIONS:
         for item in doc[section]:
             target, index, item_violations = _check_item(item, transcript_len)
             if item_violations:
                 violations.update(item_violations)
-                dropped.append(target if target is not None else repr(item))
                 continue
             kept.append(TargetLabel(target, section, index))
 
     labels = normalize_and_dedupe(kept)
     target_set = TargetSet(firm=firm, period=period, labels=tuple(labels), method=method)
-    return ParsedExtraction(target_set=target_set, violations=violations, dropped=tuple(dropped))
+    return ParsedExtraction(target_set=target_set, violations=violations)
 
 
 def _check_item(item: object, transcript_len: int) -> tuple[str | None, int, list[str]]:

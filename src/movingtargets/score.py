@@ -20,9 +20,10 @@ opposite economic order.
 Both methods read each set's merged texts, built once with the set
 (``TargetSet.texts``). Semantic scoring embeds the sorted vocabulary of the
 corpus once, stacks the vectors into one float64 matrix per model and scales
-every row to unit norm once (``unit_rows``). Each firm-quarter pair then
-takes its rows from that matrix by index, and its similarity matrix is one
-product of unit rows.
+every row to unit norm once with ``embed.unit_rows``, the one check on
+vectors, which also rejects mixed dimensions and zero or non-finite norms.
+Each firm-quarter pair then takes its rows from that matrix by index, and
+its similarity matrix is one product of unit rows.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .config import (
     METHOD_SEMANTIC,
 )
 from .corpus import YearQuarter, shift_quarters
-from .embed import DimensionMismatchError, EmbeddingError, EmbeddingVector
+from .embed import EmbeddingError, EmbeddingVector, NormError, unit_rows
 from .extract import SECTION_PRESENTATION, SECTION_QA, TargetSet
 
 SKIP_MISSING_PREVIOUS = "missing_previous_call"
@@ -56,14 +57,6 @@ _NO_MATCH_SIMILARITY = -1.0
 
 class UndefinedScoreError(ValueError):
     """The score is undefined (no prior-quarter targets to compare against)."""
-
-
-class NormError(EmbeddingError):
-    """Row ``row`` of a stacked set of vectors has a zero or non-finite norm."""
-
-    def __init__(self, row: int, count: int, norm: float) -> None:
-        super().__init__(f"embedding vector {row} of {count} has norm {norm}")
-        self.row = row
 
 
 @dataclass(frozen=True)
@@ -113,43 +106,11 @@ class EmbeddedTargets:
             raise ValueError("texts and units must align")
 
 
-def unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
-    """Stack ``vectors`` into one float64 matrix whose rows have unit norm.
-
-    Each row's norm is reduced on its own, so no temporary the size of the
-    matrix is made; a row's norm has the same bits as in a norm taken over
-    the rows of any set that holds it. Raises ``DimensionMismatchError`` for
-    vectors of different lengths and ``NormError`` for a zero or non-finite
-    norm.
-    """
-
-    dims = {v.dim for v in vectors}
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"inconsistent vector dimensions: {sorted(dims)}")
-    matrix = np.empty((len(vectors), dims.pop() if dims else 0))
-    norms = np.empty((len(vectors), 1))
-    # A norm that overflows is rejected below as not finite.
-    with np.errstate(over="ignore"):
-        for i, vector in enumerate(vectors):
-            matrix[i] = vector.values
-            norms[i] = np.linalg.norm(matrix[i : i + 1], axis=1)
-    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
-    if bad.size:
-        i = int(bad[0])
-        raise NormError(i, len(vectors), float(norms[i, 0]))
-    matrix /= norms
-    return matrix
-
-
 def similarity_matrix(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """All pairwise cosine similarities of unit rows, rows = current, columns = previous."""
 
     if not len(current) or not len(previous):
         return np.zeros((len(current), len(previous)))
-    if current.shape[1] != previous.shape[1]:
-        raise DimensionMismatchError(
-            f"inconsistent vector dimensions: {sorted({current.shape[1], previous.shape[1]})}"
-        )
     return current @ previous.T
 
 

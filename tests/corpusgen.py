@@ -15,15 +15,17 @@ revenue") whose qualifiers only the recorded extractor responses keep.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import yaml
 
 from movingtargets import corpus, extract
-from movingtargets.embed import EmbeddingCache, HashingEncoderClient
+from movingtargets.embed import EmbeddingCache, EmbeddingVector
 
 FIRMS = ["AAPL", "NVDA", "OMNI", "BRLT", "CRGO", "DELV", "EPSL", "FLNT"]
 
@@ -78,6 +80,31 @@ BASELINE_CORE_COUNTS = [3, 4, 5, 6, 4, 3, 4, 3]
 BASELINE_WINDOWS = [1, 2, 3, 5, 5, 6, 7, 8]
 
 TARGETS_PER_CALL = 10
+
+
+class HashingEncoderClient:
+    """Deterministic local encoder: unit vectors seeded by the label text.
+
+    No semantic content; identical texts map to identical vectors and
+    distinct texts to near-orthogonal ones, which is enough for offline
+    fixtures and plumbing tests.
+    """
+
+    def __init__(self, model_id: str = "hash-v1", dim: int = 256) -> None:
+        if dim <= 0:
+            raise ValueError("dim must be positive")
+        self.model_id = model_id
+        self.dim = dim
+
+    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+        vectors = []
+        for text in texts:
+            digest = hashlib.sha256(f"{self.model_id}\n{text}".encode("utf-8")).digest()
+            seed = int.from_bytes(digest[:8], "big")
+            raw = np.random.default_rng(seed).standard_normal(self.dim)
+            unit = raw / float(np.linalg.norm(raw))
+            vectors.append(EmbeddingVector(tuple(float(v) for v in unit), self.model_id))
+        return vectors
 
 
 @dataclass(frozen=True)

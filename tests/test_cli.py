@@ -138,6 +138,37 @@ class TestExtractCommand:
         assert sorted(set(written) - set(targets)) == ["out/extract_diagnostics.json"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "run"]
 
+    def test_repeated_firm_quarter_keeps_the_first_file(self, runner, small_corpus, tmp_path):
+        root = tmp_path / "corpus"
+        shutil.copytree(small_corpus.root, root)
+        transcripts = root / "transcripts"
+        doc = json.loads((transcripts / "AAPL_2019Q1.json").read_text(encoding="utf-8"))
+        for utterance in doc["utterances"]:
+            utterance["text"] = "Thank you."
+        (transcripts / "AAPL_2019Q1_copy.json").write_text(json.dumps(doc), encoding="utf-8")
+        clean = tmp_path / "clean"
+        result = invoke(runner, small_corpus, "extract", "--method", "baseline", out_dir=clean)
+        assert result.exit_code == 0
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["extract", "--method", "baseline", "--config", str(root / "config.yaml"),
+             "--out-dir", str(out)],
+        )
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            "error: partial-extraction: 1 of 25 transcripts failed; see extract_diagnostics.json"
+        ]
+        diagnostics = json.loads((out / "extract_diagnostics.json").read_text())
+        assert diagnostics["errors"] == [
+            {"file": "AAPL_2019Q1_copy.json",
+             "error": "repeats the firm-quarter of AAPL_2019Q1.json"}
+        ]
+        counts = [diagnostics[key] for key in ("transcripts", "parsed", "written")]
+        assert counts == [25, 24, 24]
+        name = "AAPL_2019Q1.baseline.json"
+        assert (out / "targets" / name).read_bytes() == (clean / "targets" / name).read_bytes()
+
     def test_rerun_removes_sets_of_vanished_transcripts(self, runner, small_corpus, tmp_path):
         root = tmp_path / "corpus"
         shutil.copytree(small_corpus.root, root)
@@ -422,6 +453,12 @@ def short_row(lines):
     return [lines[0], ",".join(lines[1].split(",")[:2]) + "\n", *lines[2:]]
 
 
+def blank_first_label(path):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["labels"][0]["text"] = "   "
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
 CORRUPT_INPUTS = {
     "corrupt-summary": (
         "score_summary.json", lambda path: path.write_text("{not json", encoding="utf-8"),
@@ -450,6 +487,15 @@ CORRUPT_INPUTS = {
     "scores-short-row": (
         "scores.csv", lambda path: rewrite_lines(path, short_row),
         "backtest", "malformed-score-table",
+    ),
+    "target-set-repeats-firm-quarter": (
+        "targets/AAPL_2019Q1.llm.json",
+        lambda path: shutil.copy(path, path.with_name("copy.llm.json")),
+        "score", "malformed-target-set",
+    ),
+    "target-set-blank-label": (
+        "targets/AAPL_2019Q1.llm.json", blank_first_label,
+        "score", "malformed-target-set",
     ),
 }
 

@@ -12,12 +12,12 @@ from movingtargets.embed import (
     EmbeddingError,
     EmbeddingVector,
     EncoderTransportError,
-    HashingEncoderClient,
     HttpEncoderClient,
     MissingEmbeddingError,
     embed_labels,
 )
 
+from corpusgen import HashingEncoderClient
 from test_transport import StubResponse, StubSession
 
 
@@ -29,10 +29,6 @@ class TestEmbeddingVector:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             EmbeddingVector((), "m")
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(ValueError):
-            EmbeddingVector((0.0, 0.0), "m")
 
 
 class TestEmbeddingCache:
@@ -126,6 +122,15 @@ class TestEmbedLabels:
         client = CountingClient(dim=4)
         with pytest.raises(DimensionMismatchError, match="dimension mismatch"):
             embed_labels(["cached", "fresh"], client, cache)
+        assert cache.get("enc", "fresh") is None
+
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (0.0, 0.0)])
+    def test_bad_cached_vector_beside_a_fresh_label_is_named(self, tmp_path, bad):
+        cache = EmbeddingCache(tmp_path)
+        cache.put(EmbeddingVector(bad, "enc"), "cached")
+        with pytest.raises(EmbeddingError, match="'cached' of model 'enc'"):
+            embed_labels(["cached", "fresh"], CountingClient(dim=2), cache)
+        assert cache.get("enc", "fresh") is None
 
     def test_offline_miss_raises(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
@@ -142,7 +147,9 @@ class TestEmbedLabels:
         with pytest.raises(ValueError):
             embed_labels([""], CountingClient(), EmbeddingCache(tmp_path))
 
-    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, -math.inf), (1e-200, 1e-200)])
+    @pytest.mark.parametrize(
+        "bad", [(math.nan, 1.0), (1.0, -math.inf), (1e-200, 1e-200), (0.0, 0.0)]
+    )
     def test_non_finite_or_zero_norm_vector_is_not_cached(self, tmp_path, bad):
         class BadClient:
             model_id = "enc"

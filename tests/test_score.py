@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from movingtargets.corpus import YearQuarter, shift_quarters
-from movingtargets.embed import (
-    DimensionMismatchError,
-    EmbeddingError,
-    EmbeddingVector,
-    HashingEncoderClient,
-)
+from movingtargets.embed import DimensionMismatchError, EmbeddingError, EmbeddingVector
 from movingtargets.extract import SECTIONS, TargetLabel, TargetSet, merged_texts
 from movingtargets.score import (
     DIRECTION_MISSING,
@@ -32,6 +27,7 @@ from movingtargets.score import (
     similarity_matrix,
     unit_rows,
 )
+from corpusgen import HashingEncoderClient
 from oracles import (
     discrete_scores_set_difference,
     random_unit_vectors,
