@@ -1,5 +1,4 @@
-"""Label embeddings: pluggable encoder clients, a file cache and the one
-check on vectors.
+"""Label embeddings: encoder clients, a file cache and the one vector check.
 
 Vectors are stored exactly as delivered (no pre-normalization). ``unit_rows``
 is the only rule for a usable vector: one dimension per model and a finite,
