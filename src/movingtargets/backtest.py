@@ -92,9 +92,6 @@ class MonthlySeries:
             values=tuple(float(v) for _, v in ordered),
         )
 
-    def as_dict(self) -> dict[Month, float]:
-        return dict(zip(self.months, self.values))
-
     def __len__(self) -> int:
         return len(self.months)
 
@@ -358,7 +355,7 @@ def factor_alpha(
 def long_short_spread(q5: MonthlySeries, q1: MonthlySeries) -> MonthlySeries:
     """Per-month Q5 minus Q1 over the overlapping months."""
 
-    q1_map = q1.as_dict()
+    q1_map = dict(zip(q1.months, q1.values))
     pairs = [
         (month, value - q1_map[month])
         for month, value in zip(q5.months, q5.values)

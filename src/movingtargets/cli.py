@@ -10,10 +10,10 @@ settings:
                 backtest_plot_data.csv, backtest_meta.json
     report-frequencies -> frequencies.csv
 
-Outputs carry no timestamps; two offline runs over identical inputs write
-byte-identical files. Each output file is replaced atomically (written to
-``<name>.<pid>.tmp``, then renamed), so a crash leaves the old file or
-none, never a partial one.
+Outputs carry no timestamps; two offline runs over identical inputs, with
+one BLAS kernel, write byte-identical files. Each output file is replaced
+atomically (written to ``<name>.<pid>.tmp``, then renamed), so a crash
+leaves the old file or none, never a partial one.
 
 Exit codes: 0 success, 1 (partial) failure, 2 invalid configuration. Every
 error path prints a single line ``error: <code>: <detail>`` to stderr.
@@ -49,6 +49,8 @@ import click
 
 from . import corpus, extract
 from .config import (
+    DIRECTION_MISSING,
+    DIRECTION_RETENTION,
     ENCODER_API_KEY_ENV,
     EXTRACTOR_API_KEY_ENV,
     METHOD_DISCRETE,
@@ -65,11 +67,11 @@ if TYPE_CHECKING:
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
-EXTRACTION_TO_SCORING = {
-    extract.METHOD_LLM: METHOD_SEMANTIC,
-    extract.METHOD_BASELINE: METHOD_DISCRETE,
-}
-SCORING_TO_EXTRACTION = {v: k for k, v in EXTRACTION_TO_SCORING.items()}
+# (extraction method, scoring method), in the order every command runs them.
+METHODS = (
+    (extract.METHOD_BASELINE, METHOD_DISCRETE),
+    (extract.METHOD_LLM, METHOD_SEMANTIC),
+)
 
 SCORES_CSV_HEADER = (
     "firm",
@@ -119,10 +121,8 @@ def _fail(error: CliError) -> NoReturn:
     sys.exit(error.exit_code)
 
 
-def _resolve_methods(flag: str) -> list[str]:
-    if flag == "both":
-        return [extract.METHOD_BASELINE, extract.METHOD_LLM]
-    return [flag]
+def _resolve_methods(flag: str) -> list[tuple[str, str]]:
+    return [pair for pair in METHODS if flag in ("both", pair[0])]
 
 
 def _targets_dir(config: RunConfig) -> Path:
@@ -167,8 +167,10 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object
 T = TypeVar("T")
 
 # What a malformed input file can raise while it is read or parsed; decode
-# errors are ValueErrors.
-_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, csv.Error)
+# errors are ValueErrors, and int() of an infinite float is an OverflowError.
+_READ_ERRORS = (
+    OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, csv.Error
+)
 
 
 def _read_csv(
@@ -200,10 +202,14 @@ def _read_json(path: Path, code: str, parse: Callable[[Any], T]) -> T:
         raise CliError(code, f"{path.name}: {exc}") from exc
 
 
+def _target_set_name(target_set: extract.TargetSet) -> str:
+    return f"{target_set.firm}_{target_set.period}.{target_set.method}.json"
+
+
 def _write_target_set(targets_dir: Path, target_set: extract.TargetSet) -> str:
     """Write ``target_set`` under ``targets_dir`` and return the file's name."""
 
-    name = f"{target_set.firm}_{target_set.period}.{target_set.method}.json"
+    name = _target_set_name(target_set)
     payload = {
         "firm": target_set.firm,
         "year": target_set.period.year,
@@ -224,7 +230,7 @@ def _parse_target_set(doc: Any) -> extract.TargetSet:
         for item in doc["labels"]
     )
     return extract.TargetSet(
-        firm=doc["firm"],
+        firm=str(doc["firm"]),
         period=corpus.YearQuarter(int(doc["year"]), int(doc["quarter"])),
         labels=labels,
         method=doc["method"],
@@ -256,9 +262,10 @@ def _build_extractor_client(config: RunConfig) -> extract.ExtractorClient:
     return client
 
 
-def cmd_extract(config: RunConfig, extraction_methods: Sequence[str]) -> None:
+def cmd_extract(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
     """Extract target sets for every transcript and requested method."""
 
+    extraction_methods = [extraction for extraction, _ in methods]
     transcripts_dir = config.transcripts_dir
     if not transcripts_dir.is_dir():
         raise CliError("missing-transcripts", f"transcripts dir not found: {transcripts_dir}")
@@ -404,7 +411,7 @@ def _read_scores_csv(path: Path, directions: dict[str, str]) -> list[score.Movin
     return _read_csv(path, SCORES_CSV_HEADER, "malformed-score-table", parse)
 
 
-def cmd_score(config: RunConfig, extraction_methods: Sequence[str]) -> None:
+def cmd_score(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
     """Score extracted target sets against the year-earlier call."""
 
     from . import score
@@ -414,8 +421,7 @@ def cmd_score(config: RunConfig, extraction_methods: Sequence[str]) -> None:
     all_matches: list[score.CorpusMatch] = []
     summaries: dict[str, score.ScoreSummary] = {}
 
-    for extraction_method in extraction_methods:
-        scoring_method = EXTRACTION_TO_SCORING[extraction_method]
+    for extraction_method, scoring_method in methods:
         files = sorted(targets_dir.glob(f"*.{extraction_method}.json"))
         if not files:
             raise CliError(
@@ -423,14 +429,13 @@ def cmd_score(config: RunConfig, extraction_methods: Sequence[str]) -> None:
                 f"no {extraction_method} target-set files under {targets_dir}; run extract first",
             )
         target_sets = []
-        first_file: dict[tuple[str, corpus.YearQuarter], str] = {}
         for path in files:
             target_set = _read_json(path, "malformed-target-set", _parse_target_set)
-            first = first_file.setdefault((target_set.firm, target_set.period), path.name)
-            if first != path.name:
+            # A file's name is that of the set it holds, so no two files hold one set.
+            if path.name != _target_set_name(target_set):
                 raise CliError(
                     "malformed-target-set",
-                    f"{path.name} and {first} both hold {target_set.firm} {target_set.period}",
+                    f"{path.name} holds the set of {_target_set_name(target_set)}",
                 )
             target_sets.append(target_set)
 
@@ -518,14 +523,18 @@ def _read_summary_directions(config: RunConfig) -> dict[str, str]:
     path = config.out_dir / "score_summary.json"
     if not path.is_file():
         return {}
-    return _read_json(
-        path,
-        "malformed-score-summary",
-        lambda doc: {method: info.get("direction", "") for method, info in doc.items()},
-    )
+
+    def parse(doc: Any) -> dict[str, str]:
+        directions = {method: info.get("direction") for method, info in doc.items()}
+        for method, direction in directions.items():
+            if direction not in (DIRECTION_RETENTION, DIRECTION_MISSING):
+                raise ValueError(f"{method}: direction {direction!r} is not retention or missing")
+        return directions
+
+    return _read_json(path, "malformed-score-summary", parse)
 
 
-def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> None:
+def cmd_backtest(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
     """Portfolio sorts, factor alphas, and cross-sectional regressions."""
 
     from . import backtest as bt
@@ -543,12 +552,7 @@ def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> None:
     factors = corpus.load_factors(config.factors_file)
     directions = _read_summary_directions(config)
     records = _read_scores_csv(scores_path, directions)
-    requested = [EXTRACTION_TO_SCORING[m] for m in extraction_methods]
-    methods = [
-        m
-        for m in (METHOD_DISCRETE, METHOD_SEMANTIC)
-        if m in requested and any(r.method == m for r in records)
-    ]
+    methods = [(e, m) for e, m in methods if any(r.method == m for r in records)]
     if not methods:
         raise CliError("missing-score-table", "score table has no rows for the requested methods")
 
@@ -557,7 +561,7 @@ def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> None:
     plot_rows: list[tuple[str, str, float]] = []
     meta: dict[str, dict] = {}
 
-    for method in methods:
+    for extraction_method, method in methods:
         method_records = [r for r in records if r.method == method]
         assignment_result = bt.build_assignments(method_records)
         if not assignment_result.assignments:
@@ -612,10 +616,10 @@ def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> None:
             raise CliError("insufficient-months", f"{method}: {exc}") from exc
 
         for metric_name, model in PORTFOLIO_METRICS:
-            plot_rows.append((SCORING_TO_EXTRACTION[method], metric_name, spread_alphas[model].alpha))
+            plot_rows.append((extraction_method, metric_name, spread_alphas[model].alpha))
 
         meta[method] = {
-            "extraction_method": SCORING_TO_EXTRACTION[method],
+            "extraction_method": extraction_method,
             "direction": directions.get(method, score.default_direction(method)),
             "direction_note": DIRECTION_NOTE,
             "spread_convention": SPREAD_CONVENTION,
@@ -639,22 +643,19 @@ def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> None:
         portfolio_rows,
     )
 
+    fits = list(fm_results.values())
     fm_rows: list[list[str]] = []
     for i, regressor in enumerate(bt.FM_REGRESSORS):
-        fm_rows.append(
-            [regressor, "value"] + [f"{fm_results[m].mean_coefficients[i]:.4f}" for m in methods]
-        )
-        fm_rows.append(
-            [regressor, "t_stat"] + [f"{fm_results[m].t_stats[i]:.2f}" for m in methods]
-        )
-    fm_rows.append(["r_squared", "value"] + [f"{fm_results[m].avg_r_squared:.4f}" for m in methods])
-    fm_rows.append(["n_obs", "value"] + [str(fm_results[m].n_obs) for m in methods])
-    fm_rows.append(["n_months", "value"] + [str(fm_results[m].n_months) for m in methods])
+        fm_rows.append([regressor, "value"] + [f"{f.mean_coefficients[i]:.4f}" for f in fits])
+        fm_rows.append([regressor, "t_stat"] + [f"{f.t_stats[i]:.2f}" for f in fits])
+    fm_rows.append(["r_squared", "value"] + [f"{f.avg_r_squared:.4f}" for f in fits])
+    fm_rows.append(["n_obs", "value"] + [str(f.n_obs) for f in fits])
+    fm_rows.append(["n_months", "value"] + [str(f.n_months) for f in fits])
     _write_csv(
-        config.out_dir / "backtest_fama_macbeth.csv", ["regressor", "stat"] + methods, fm_rows
+        config.out_dir / "backtest_fama_macbeth.csv", ["regressor", "stat", *fm_results], fm_rows
     )
 
-    if len(methods) >= 2:
+    if len(fits) >= 2:
         _write_csv(
             config.out_dir / "backtest_plot_data.csv",
             ["model", "metric", "value"],
@@ -664,10 +665,10 @@ def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> None:
         click.echo("notice: comparison plot omitted (single method)")
 
     _write_json(config.out_dir / "backtest_meta.json", meta)
-    for method in methods:
+    for method, fit in fm_results.items():
         click.echo(
             f"backtest[{method}] spread_months={meta[method]['spread_months']} "
-            f"fm_months={fm_results[method].n_months} fm_n={fm_results[method].n_obs}"
+            f"fm_months={fit.n_months} fm_n={fit.n_obs}"
         )
 
 
@@ -676,7 +677,7 @@ def cmd_backtest(config: RunConfig, extraction_methods: Sequence[str]) -> None:
 
 
 def cmd_report_frequencies(
-    config: RunConfig, extraction_methods: Sequence[str], top_k: int
+    config: RunConfig, methods: Sequence[tuple[str, str]], top_k: int
 ) -> None:
     """Top-K most frequently dropped targets per scoring method."""
 
@@ -693,7 +694,7 @@ def cmd_report_frequencies(
             raise ValueError(f"retained must be 0 or 1, got {row['retained']!r}")
         return row["method"], row["label"], row["retained"]
 
-    requested = {EXTRACTION_TO_SCORING[m] for m in extraction_methods}
+    requested = {method for _, method in methods}
     counts: dict[str, Counter] = {}
     matches = _read_csv(matches_path, MATCHES_CSV_HEADER, "malformed-match-records", parse)
     for method, label, retained in matches:

@@ -155,7 +155,7 @@ def load_transcript(path: str | Path) -> Transcript:
         firm = str(doc["firm"])
         period = YearQuarter(int(doc["year"]), int(doc["quarter"]))
         raw_utterances = doc["utterances"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorpusError(f"malformed transcript header in {path}: {exc}") from exc
     if not firm:
         raise CorpusError(f"empty firm id in {path}")
@@ -173,7 +173,7 @@ def load_transcript(path: str | Path) -> Transcript:
             index = int(item["index"])
             speaker = str(item["speaker"])
             text = str(item["text"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusError(f"malformed utterance in {path}: {exc}") from exc
         if index in seen:
             raise CorpusError(f"duplicate utterance index {index} in {path}")
@@ -201,26 +201,23 @@ class ReturnRow:
 class ReturnsTable:
     """Monthly firm returns plus size and book-to-market characteristics.
 
-    Lookups go through one index per firm: its sorted month indices
-    (``Month.index``), with its rows in the same order. ``ret`` and ``span``
-    take month indices.
+    ``rows`` are sorted by (firm, month). Lookups go through one index per
+    firm: its sorted month indices (``Month.index``) and the position of its
+    first row in ``rows``. ``ret`` and ``span`` take month indices.
     """
 
     rows: tuple[ReturnRow, ...]
-    _by_firm: Mapping[str, tuple[list[int], list[ReturnRow]]] = field(
-        repr=False, compare=False
-    )
+    _by_firm: Mapping[str, tuple[list[int], int]] = field(repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, rows: Iterable[ReturnRow]) -> "ReturnsTable":
         ordered = tuple(sorted(rows, key=lambda r: (r.firm, r.month)))
-        by_firm: dict[str, tuple[list[int], list[ReturnRow]]] = {}
-        for row in ordered:
-            months, firm_rows = by_firm.setdefault(row.firm, ([], []))
+        by_firm: dict[str, tuple[list[int], int]] = {}
+        for position, row in enumerate(ordered):
+            months, _ = by_firm.setdefault(row.firm, ([], position))
             if months and months[-1] == row.month.index:
                 raise CorpusError(f"duplicate return row for {row.firm} {row.month}")
             months.append(row.month.index)
-            firm_rows.append(row)
         return cls(rows=ordered, _by_firm=by_firm)
 
     def ret(self, firm: str, month: int) -> float | None:
@@ -233,21 +230,21 @@ class ReturnsTable:
         None unless every month of the span has a row.
         """
 
-        months, rows = self._by_firm.get(firm, ((), ()))
+        months, offset = self._by_firm.get(firm, ((), 0))
         start = bisect_left(months, first)
         end = start + last - first
         # The months are distinct and sorted and months[start] >= first, so
         # months[end] == last leaves no room for a gap.
         if end >= len(months) or months[end] != last:
             return None
-        return [row.ret for row in rows[start : end + 1]]
+        return [row.ret for row in self.rows[offset + start : offset + end + 1]]
 
     def latest_at_or_before(self, firm: str, month: Month) -> ReturnRow | None:
         """Most recent row for ``firm`` dated at or before ``month``."""
 
-        months, rows = self._by_firm.get(firm, ((), ()))
+        months, offset = self._by_firm.get(firm, ((), 0))
         position = bisect_right(months, month.index)
-        return rows[position - 1] if position else None
+        return self.rows[offset + position - 1] if position else None
 
 
 def _parse_float(value: str, column: str, where: str) -> float:
@@ -310,26 +307,25 @@ class FactorRow:
 
 @dataclass(frozen=True)
 class FactorSeries:
-    """Monthly factor returns over a contiguous month span."""
+    """Monthly factor returns, one row per month of a contiguous span, in order."""
 
     rows: tuple[FactorRow, ...]
-    _by_month: Mapping[Month, FactorRow] = field(repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for prev, cur in zip(self.rows, self.rows[1:]):
+            if cur.month == prev.month:
+                raise CorpusError(f"duplicate factor row for {cur.month}")
+            if cur.month.index != prev.month.index + 1:
+                raise CorpusError(f"factor months not contiguous: gap after {prev.month}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[FactorRow]) -> "FactorSeries":
-        ordered = tuple(sorted(rows, key=lambda r: r.month))
-        by_month: dict[Month, FactorRow] = {}
-        for row in ordered:
-            if row.month in by_month:
-                raise CorpusError(f"duplicate factor row for {row.month}")
-            by_month[row.month] = row
-        for prev, cur in zip(ordered, ordered[1:]):
-            if cur.month.index != prev.month.index + 1:
-                raise CorpusError(f"factor months not contiguous: gap after {prev.month}")
-        return cls(rows=ordered, _by_month=by_month)
+        return cls(rows=tuple(sorted(rows, key=lambda r: r.month)))
 
     def get(self, month: Month) -> FactorRow | None:
-        return self._by_month.get(month)
+        # A month's row sits at the month's offset from the first month.
+        offset = month.index - self.rows[0].month.index if self.rows else -1
+        return self.rows[offset] if 0 <= offset < len(self.rows) else None
 
 
 def load_factors(path: str | Path) -> FactorSeries:

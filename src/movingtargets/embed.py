@@ -144,8 +144,12 @@ class EmbeddingCache:
             )
             # The lock serializes one process only, so the temp name is per process.
             tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            tmp.write_text(body + "\n", encoding="utf-8")
-            os.replace(tmp, path)
+            try:
+                tmp.write_text(body + "\n", encoding="utf-8")
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
 
 
 class HttpEncoderClient(JsonEndpointClient):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import shutil
 
 import pytest
@@ -453,10 +454,15 @@ def short_row(lines):
     return [lines[0], ",".join(lines[1].split(",")[:2]) + "\n", *lines[2:]]
 
 
-def blank_first_label(path):
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["labels"][0]["text"] = "   "
-    path.write_text(json.dumps(doc), encoding="utf-8")
+def edit_json(edit):
+    """A corruption that applies ``edit`` to the parsed document and writes it back."""
+
+    def corrupt(path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+    return corrupt
 
 
 CORRUPT_INPUTS = {
@@ -466,6 +472,19 @@ CORRUPT_INPUTS = {
     ),
     "summary-root-is-a-list": (
         "score_summary.json", lambda path: path.write_text("[]\n", encoding="utf-8"),
+        "backtest", "malformed-score-summary",
+    ),
+    "summary-direction-unknown": (
+        "score_summary.json", edit_json(lambda doc: doc["semantic"].update(direction="up")),
+        "backtest", "malformed-score-summary",
+    ),
+    "summary-direction-absent": (
+        "score_summary.json", edit_json(lambda doc: doc["discrete"].pop("direction")),
+        "backtest", "malformed-score-summary",
+    ),
+    "summary-direction-is-a-list": (
+        "score_summary.json",
+        edit_json(lambda doc: doc["semantic"].update(direction=["retention"])),
         "backtest", "malformed-score-summary",
     ),
     "matches-columns-swapped": (
@@ -494,7 +513,29 @@ CORRUPT_INPUTS = {
         "score", "malformed-target-set",
     ),
     "target-set-blank-label": (
-        "targets/AAPL_2019Q1.llm.json", blank_first_label,
+        "targets/AAPL_2019Q1.llm.json",
+        edit_json(lambda doc: doc["labels"][0].update(text="   ")),
+        "score", "malformed-target-set",
+    ),
+    "target-set-firm-is-an-int": (
+        "targets/AAPL_2019Q1.llm.json", edit_json(lambda doc: doc.update(firm=7)),
+        "score", "malformed-target-set",
+    ),
+    "target-set-firm-is-a-list": (
+        "targets/AAPL_2019Q1.llm.json", edit_json(lambda doc: doc.update(firm=["AAPL"])),
+        "score", "malformed-target-set",
+    ),
+    "target-set-method-not-the-files": (
+        "targets/AAPL_2019Q1.llm.json", edit_json(lambda doc: doc.update(method="baseline")),
+        "score", "malformed-target-set",
+    ),
+    "target-set-year-is-infinite": (
+        "targets/AAPL_2019Q1.llm.json", edit_json(lambda doc: doc.update(year=math.inf)),
+        "score", "malformed-target-set",
+    ),
+    # No other set holds 1990Q1.
+    "target-set-quarter-not-the-files": (
+        "targets/AAPL_2019Q1.llm.json", edit_json(lambda doc: doc.update(year=1990)),
         "score", "malformed-target-set",
     ),
 }
@@ -553,6 +594,16 @@ def test_corrupt_cache_entry_gives_one_error_line_and_keeps_outputs(
     assert snapshot(out) == before
 
 
+def assert_clean_exit(result, exits=(0, 1)):
+    """The exit contract: an allowed code and, on failure, one ``error:`` line."""
+
+    assert isinstance(result.exception, (type(None), SystemExit)), result.exception
+    assert result.exit_code in exits
+    if result.exit_code:
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
 def mutations(original):
     """Truncations and single-byte flips of ``original``."""
 
@@ -595,11 +646,53 @@ def test_mutated_input_exits_cleanly(full_corpus, pipeline_out, tmp_path, patter
     @given(mutations(original))
     def check(mutated):
         path.write_bytes(mutated)
-        result = runner.invoke(main, args)
-        assert isinstance(result.exception, (type(None), SystemExit)), result.exception
-        assert result.exit_code in exits
-        if result.exit_code:
-            lines = result.stderr.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+        assert_clean_exit(runner.invoke(main, args), exits)
+
+    check()
+
+
+JSON_VALUES = (
+    st.integers()
+    | st.floats()
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.lists(st.integers() | st.text(), max_size=3)
+)
+
+def set_target_set_field(key):
+    return lambda doc, value: doc.update({key: value})
+
+
+# case -> (file, command, function that puts a value into the parsed file)
+REPLACED_FIELDS = {
+    **{
+        f"target-set-{key}": (
+            "targets/AAPL_2019Q1.llm.json", ["score", "--method", "llm"], set_target_set_field(key)
+        )
+        for key in ("firm", "year", "quarter", "method")
+    },
+    "summary-direction": (
+        "score_summary.json", ["backtest"],
+        lambda doc, value: doc["semantic"].update(direction=value),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLACED_FIELDS))
+def test_replaced_field_exits_cleanly(full_corpus, pipeline_out, tmp_path, case):
+    name, command, replace = REPLACED_FIELDS[case]
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    path = out / name
+    original = path.read_text(encoding="utf-8")
+    runner = CliRunner()
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(JSON_VALUES)
+    def check(value):
+        path.write_text(original, encoding="utf-8")
+        edit_json(lambda doc: replace(doc, value))(path)
+        assert_clean_exit(invoke(runner, full_corpus, *command, out_dir=out))
 
     check()

@@ -7,6 +7,7 @@ import pytest
 
 from movingtargets.corpus import (
     CorpusError,
+    FactorRow,
     FactorSeries,
     Month,
     ReturnRow,
@@ -153,6 +154,15 @@ class TestLoadTranscript:
         with pytest.raises(CorpusError, match="path separator or NUL"):
             load_transcript(path)
 
+    def test_infinite_year_or_index_rejected(self, tmp_path):
+        path = write_transcript(tmp_path / "t.json", year=math.inf)
+        with pytest.raises(CorpusError, match="malformed transcript header"):
+            load_transcript(path)
+        utterances = [{"index": math.inf, "speaker": "Operator", "text": "Hello."}]
+        path = write_transcript(tmp_path / "u.json", utterances=utterances)
+        with pytest.raises(CorpusError, match="malformed utterance"):
+            load_transcript(path)
+
     def test_requires_at_least_one_utterance(self, tmp_path):
         path = write_transcript(tmp_path / "t.json", utterances=[])
         with pytest.raises(CorpusError):
@@ -262,6 +272,30 @@ class TestLoadFactors:
         )
         with pytest.raises(CorpusError, match="contiguous"):
             load_factors(path)
+
+
+def factor_row(month):
+    return FactorRow(month, 0.01, 0.0, 0.0, 0.0, 0.0, 0.0002)
+
+
+class TestFactorSeries:
+    def test_duplicate_month_rejected(self):
+        rows = (factor_row(Month(2020, 1)), factor_row(Month(2020, 1)))
+        with pytest.raises(CorpusError, match="duplicate factor row for 2020-01"):
+            FactorSeries(rows)
+
+    def test_gap_rejected(self):
+        rows = (factor_row(Month(2020, 1)), factor_row(Month(2020, 3)))
+        with pytest.raises(CorpusError, match="gap after 2020-01"):
+            FactorSeries(rows)
+
+    def test_get_finds_each_covered_month_and_no_other(self):
+        months = [Month(2019, 11).shift(k) for k in range(4)]
+        factors = FactorSeries.from_rows(reversed([factor_row(m) for m in months]))
+        assert [factors.get(m).month for m in months] == months
+        for outside in (Month(2019, 10), Month(2020, 3), Month(1, 1), Month(9999, 12)):
+            assert factors.get(outside) is None
+        assert FactorSeries.from_rows([]).get(Month(2020, 1)) is None
 
 
 def make_returns(firm, start: Month, rets, mktcap=1000.0, bm=0.5):

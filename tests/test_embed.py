@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from movingtargets import transport
+from movingtargets import embed, transport
 from movingtargets.embed import (
     DimensionMismatchError,
     EmbeddingCache,
@@ -70,6 +71,26 @@ class TestEmbeddingCache:
         (tmp_path / f"{EmbeddingCache.key('enc', 'label')}.tmp").mkdir()
         cache.put(EmbeddingVector((1.0, 2.0), "enc"), "label")
         assert cache.get("enc", "label").values == (1.0, 2.0)
+
+    @pytest.mark.parametrize("step", ["write", "rename"])
+    def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch, step):
+        write_text = Path.write_text
+
+        def write_part(path, text, **kwargs):
+            write_text(path, text[:3], **kwargs)
+            raise OSError("write failed")
+
+        def fail_rename(*args):
+            raise OSError("rename failed")
+
+        if step == "write":
+            monkeypatch.setattr(Path, "write_text", write_part)
+        else:
+            monkeypatch.setattr(embed.os, "replace", fail_rename)
+        cache = EmbeddingCache(tmp_path)
+        with pytest.raises(OSError, match=f"{step} failed"):
+            cache.put(EmbeddingVector((1.0, 2.0), "enc"), "label")
+        assert list(tmp_path.iterdir()) == []
 
 
 class CountingClient:
