@@ -263,6 +263,9 @@ def ols(y: Sequence[float], X: Sequence[Sequence[float]]) -> OlsFit:
     x_arr = np.asarray(X, dtype=float)
     if x_arr.ndim != 2:
         raise ValueError("X must be two-dimensional")
+    # lstsq can spin or fail to converge on an infinite or NaN input.
+    if not (np.isfinite(y_arr).all() and np.isfinite(x_arr).all()):
+        raise BacktestError("regression input is not finite")
     n, k = x_arr.shape
     if len(y_arr) != n:
         raise ValueError("y and X row counts differ")
@@ -330,7 +333,12 @@ def factor_alpha(
     n = len(y)
     if model == MODEL_EXCESS:
         mean = sum(y) / n
-        var = sum((v - mean) ** 2 for v in y) / (n - 1)
+        try:
+            var = sum((v - mean) ** 2 for v in y) / (n - 1)
+        except OverflowError:
+            var = math.inf
+        if not math.isfinite(var):
+            raise BacktestError(f"the variance of the monthly series is not finite (mean {mean})")
         sd = math.sqrt(var)
         if _degenerate_sd(sd, mean):
             return AlphaEstimate(alpha=mean, t_stat=0.0, n_months=n, degenerate=True)

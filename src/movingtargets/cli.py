@@ -11,8 +11,8 @@ settings:
     report-frequencies -> frequencies.csv
 
 Outputs carry no timestamps; two offline runs over identical inputs, with
-one BLAS kernel, write byte-identical files. Each output file is replaced
-atomically (written to ``<name>.<pid>.tmp``, then renamed), so a crash
+one BLAS kernel, write byte-identical files. ``fileio`` replaces each output
+file atomically (written to ``<name>.<pid>.tmp``, then renamed), so a crash
 leaves the old file or none, never a partial one.
 
 Exit codes: 0 success, 1 (partial) failure, 2 invalid configuration. Every
@@ -35,7 +35,6 @@ load requests.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -43,11 +42,11 @@ import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Sequence, TextIO, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence, TypeVar
 
 import click
 
-from . import corpus, extract
+from . import corpus, extract, fileio
 from .config import (
     DIRECTION_MISSING,
     DIRECTION_RETENTION,
@@ -130,67 +129,20 @@ def _targets_dir(config: RunConfig) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# file layer: every output goes through _atomic_write, every input through
-# _read_csv or _read_json
-
-
-def _atomic_write(path: Path, write: Callable[[TextIO], object]) -> None:
-    """Let ``write`` fill a temp file, then rename it over ``path``."""
-
-    # The temp name is per process, so concurrent runs never share it, and it
-    # does not end in ".json", so target-set globs never match it. ``write``
-    # streams rows into the file, so a large CSV is never held in memory.
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("w", encoding="utf-8", newline="") as handle:
-            write(handle)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _write_json(path: Path, payload: object) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _atomic_write(path, lambda handle: handle.write(text))
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    def write(handle: TextIO) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    _atomic_write(path, write)
-
+# input files: ``fileio`` reads them, and a malformed one fails with ``code``
 
 T = TypeVar("T")
 
 # What a malformed input file can raise while it is read or parsed; decode
 # errors are ValueErrors, and int() of an infinite float is an OverflowError.
-_READ_ERRORS = (
-    OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, csv.Error
-)
+_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
 def _read_csv(
-    path: Path, header: Sequence[str], code: str, parse: Callable[[dict[str, str]], T]
+    path: Path, header: Sequence[str], code: str, parse: Callable[[dict[str, str], int], T]
 ) -> list[T]:
-    """Parse every row of a CSV that has exactly ``header`` as its columns."""
-
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            if next(reader, None) != list(header):
-                raise ValueError(f"expected header {','.join(header)}")
-            records = []
-            for row in reader:
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                    )
-                records.append(parse(dict(zip(header, row))))
-            return records
+        return fileio.read_table(path, header, parse)
     except _READ_ERRORS as exc:
         raise CliError(code, f"{path.name}: {exc}") from exc
 
@@ -220,7 +172,7 @@ def _write_target_set(targets_dir: Path, target_set: extract.TargetSet) -> str:
             for label in target_set.labels
         ],
     }
-    _write_json(targets_dir / name, payload)
+    fileio.write_json(targets_dir / name, payload)
     return name
 
 
@@ -338,7 +290,7 @@ def cmd_extract(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
             method: dict(sorted(counts.items())) for method, counts in violations.items()
         },
     }
-    _write_json(config.out_dir / "extract_diagnostics.json", diagnostics)
+    fileio.write_json(config.out_dir / "extract_diagnostics.json", diagnostics)
     click.echo(
         f"extract: {len(written)} target-set files from {len(transcripts)} transcripts "
         f"({len(errors)} errors)"
@@ -394,12 +346,13 @@ def _format_optional(value: object) -> str:
 def _read_scores_csv(path: Path, directions: dict[str, str]) -> list[score.MovingTargetsScore]:
     from . import score
 
-    def parse(row: dict[str, str]) -> score.MovingTargetsScore:
+    def parse(row: dict[str, str], line: int) -> score.MovingTargetsScore:
         method = row["method"]
+        value = row["value"]
         return score.MovingTargetsScore(
             firm=row["firm"],
             period=corpus.YearQuarter(int(row["year"]), int(row["quarter"])),
-            value=float(row["value"]) if row["value"] else None,
+            value=corpus.finite_float(value, "value", f"line {line}") if value else None,
             method=method,
             tau=float(row["tau"]) if row["tau"] else None,
             n_prev=int(row["n_prev"]) if row["n_prev"] else None,
@@ -458,7 +411,7 @@ def cmd_score(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
         raise CliError("zero-scoreable", "no firm-quarter could be scored")
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    fileio.write_csv(
         config.out_dir / "scores.csv",
         SCORES_CSV_HEADER,
         (
@@ -468,7 +421,7 @@ def cmd_score(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
             for r in sorted(all_records, key=lambda r: (r.firm, r.period, r.method))
         ),
     )
-    _write_csv(
+    fileio.write_csv(
         config.out_dir / "score_matches.csv",
         MATCHES_CSV_HEADER,
         (
@@ -478,7 +431,7 @@ def cmd_score(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
         ),
     )
 
-    _write_json(
+    fileio.write_json(
         config.out_dir / "score_summary.json",
         {
             method: {k: v for k, v in dataclasses.asdict(s).items() if k != "method"}
@@ -612,7 +565,7 @@ def cmd_backtest(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
         panel = corpus.build_panel(method_records, returns, factors)
         try:
             fm_results[method] = bt.fama_macbeth(panel.rows)
-        except bt.BacktestError as exc:
+        except (bt.InsufficientHistoryError, bt.InsufficientOverlapError) as exc:
             raise CliError("insufficient-months", f"{method}: {exc}") from exc
 
         for metric_name, model in PORTFOLIO_METRICS:
@@ -637,7 +590,7 @@ def cmd_backtest(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
         }
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    fileio.write_csv(
         config.out_dir / "backtest_portfolios.csv",
         ["method", "metric", "stat", "Q1", "Q2", "Q3", "Q4", "Q5", "Q5_Q1"],
         portfolio_rows,
@@ -651,12 +604,12 @@ def cmd_backtest(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
     fm_rows.append(["r_squared", "value"] + [f"{f.avg_r_squared:.4f}" for f in fits])
     fm_rows.append(["n_obs", "value"] + [str(f.n_obs) for f in fits])
     fm_rows.append(["n_months", "value"] + [str(f.n_months) for f in fits])
-    _write_csv(
+    fileio.write_csv(
         config.out_dir / "backtest_fama_macbeth.csv", ["regressor", "stat", *fm_results], fm_rows
     )
 
     if len(fits) >= 2:
-        _write_csv(
+        fileio.write_csv(
             config.out_dir / "backtest_plot_data.csv",
             ["model", "metric", "value"],
             ([model, metric, f"{value:.4f}"] for model, metric, value in plot_rows),
@@ -664,7 +617,7 @@ def cmd_backtest(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
     else:
         click.echo("notice: comparison plot omitted (single method)")
 
-    _write_json(config.out_dir / "backtest_meta.json", meta)
+    fileio.write_json(config.out_dir / "backtest_meta.json", meta)
     for method, fit in fm_results.items():
         click.echo(
             f"backtest[{method}] spread_months={meta[method]['spread_months']} "
@@ -689,9 +642,9 @@ def cmd_report_frequencies(
             "missing-match-records", f"missing match records: {matches_path}; run score first"
         )
 
-    def parse(row: dict[str, str]) -> tuple[str, str, str]:
+    def parse(row: dict[str, str], line: int) -> tuple[str, str, str]:
         if row["retained"] not in ("0", "1"):
-            raise ValueError(f"retained must be 0 or 1, got {row['retained']!r}")
+            raise ValueError(f"line {line}: retained must be 0 or 1, got {row['retained']!r}")
         return row["method"], row["label"], row["retained"]
 
     requested = {method for _, method in methods}
@@ -707,7 +660,9 @@ def cmd_report_frequencies(
         rows.extend([method, rank, label, count] for rank, (label, count) in enumerate(ranked, 1))
         click.echo(f"frequencies[{method}]: {len(ranked)} rows")
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(config.out_dir / "frequencies.csv", ["method", "rank", "target", "count"], rows)
+    fileio.write_csv(
+        config.out_dir / "frequencies.csv", ["method", "rank", "target", "count"], rows
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,20 @@ All loaders are pure given file contents; loaded tables are immutable.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TypeVar
+
+from . import fileio
 
 if TYPE_CHECKING:
     from .score import MovingTargetsScore
+
+T = TypeVar("T")
 
 
 class CorpusError(ValueError):
@@ -76,7 +79,7 @@ class Month:
     @classmethod
     def parse(cls, text: str) -> "Month":
         m = _MONTH_RE.match(text)
-        if m is None:
+        if m is None or not 1 <= int(m.group(2)) <= 12:
             raise CorpusError(f"month must be YYYY-MM, got {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
 
@@ -247,7 +250,9 @@ class ReturnsTable:
         return self.rows[offset + position - 1] if position else None
 
 
-def _parse_float(value: str, column: str, where: str) -> float:
+def finite_float(value: str, column: str, where: str) -> float:
+    """``value`` as a float; a number that does not parse or is not finite is an error."""
+
     try:
         parsed = float(value)
     except ValueError as exc:
@@ -257,41 +262,37 @@ def _parse_float(value: str, column: str, where: str) -> float:
     return parsed
 
 
-def _read_csv(path: Path, columns: Sequence[str]) -> list[dict[str, str]]:
+def _read_table(
+    path: Path, columns: Sequence[str], parse: Callable[[dict[str, str], str], T]
+) -> list[T]:
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames or []
-            for column in columns:
-                if column not in header:
-                    raise CorpusError(f"missing column {column!r} in {path}")
-            return list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        return fileio.read_table(
+            path, columns, lambda record, line: parse(record, f"{path}:{line}"), extra_columns=True
+        )
+    except CorpusError:
+        raise
+    except (OSError, ValueError) as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
 
 
 def load_returns(path: str | Path) -> ReturnsTable:
     """Load the returns CSV (``firm,month,ret,mktcap,bm``; month as YYYY-MM)."""
 
-    path = Path(path)
-    rows = []
-    for i, record in enumerate(_read_csv(path, RETURNS_COLUMNS), start=2):
-        where = f"{path}:{i}"
-        firm = (record["firm"] or "").strip()
+    def parse(record: dict[str, str], where: str) -> ReturnRow:
+        firm = record["firm"].strip()
         if not firm:
             raise CorpusError(f"empty firm id at {where}")
-        month = Month.parse((record["month"] or "").strip())
-        ret = _parse_float(record["ret"], "ret", where)
-        mktcap = _parse_float(record["mktcap"], "mktcap", where)
-        bm = _parse_float(record["bm"], "bm", where)
+        month = Month.parse(record["month"].strip())
+        ret, mktcap, bm = (finite_float(record[c], c, where) for c in RETURNS_COLUMNS[2:])
         if ret <= -1.0:
             raise CorpusError(f"return must exceed -1 at {where}")
         if mktcap <= 0.0:
             raise CorpusError(f"mktcap must be positive at {where}")
         if bm <= 0.0:
             raise CorpusError(f"bm must be positive at {where}")
-        rows.append(ReturnRow(firm=firm, month=month, ret=ret, mktcap=mktcap, bm=bm))
-    return ReturnsTable.from_rows(rows)
+        return ReturnRow(firm=firm, month=month, ret=ret, mktcap=mktcap, bm=bm)
+
+    return ReturnsTable.from_rows(_read_table(Path(path), RETURNS_COLUMNS, parse))
 
 
 @dataclass(frozen=True)
@@ -331,17 +332,11 @@ class FactorSeries:
 def load_factors(path: str | Path) -> FactorSeries:
     """Load the factor CSV (``month,mkt_rf,smb,hml,mom,liq,rf``)."""
 
-    path = Path(path)
-    rows = []
-    for i, record in enumerate(_read_csv(path, FACTOR_COLUMNS), start=2):
-        where = f"{path}:{i}"
-        month = Month.parse((record["month"] or "").strip())
-        values = {
-            column: _parse_float(record[column], column, where)
-            for column in FACTOR_COLUMNS[1:]
-        }
-        rows.append(FactorRow(month=month, **values))
-    return FactorSeries.from_rows(rows)
+    def parse(record: dict[str, str], where: str) -> FactorRow:
+        values = {c: finite_float(record[c], c, where) for c in FACTOR_COLUMNS[1:]}
+        return FactorRow(month=Month.parse(record["month"].strip()), **values)
+
+    return FactorSeries.from_rows(_read_table(Path(path), FACTOR_COLUMNS, parse))
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,13 @@ that does not parse into a vector is reported as corrupt.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import os
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterable, Protocol, Sequence
 
 import numpy as np
 
+from . import fileio
 from .transport import JsonEndpointClient, with_retries
 
 
@@ -101,55 +98,25 @@ def unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
     return matrix
 
 
-class EmbeddingCache:
-    """One file per (model, label) key under a root directory.
-
-    File layout: model id on line 1, the label on line 2, and the vector as
-    space-separated float reprs on line 3. Reads are lock-free; writes are
-    serialized and atomic.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self._write_lock = threading.Lock()
-
-    @staticmethod
-    def key(model_id: str, label: str) -> str:
-        return hashlib.sha256(f"{model_id}\n{label}".encode("utf-8")).hexdigest()
-
-    def _path(self, model_id: str, label: str) -> Path:
-        return self.root / f"{self.key(model_id, label)}.txt"
+class EmbeddingCache(fileio.KeyedFiles):
+    """Entry lines: the model id, the label, the vector as space-separated float reprs."""
 
     def get(self, model_id: str, label: str) -> EmbeddingVector | None:
-        path = self._path(model_id, label)
-        if not path.is_file():
-            return None
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise EmbeddingError(f"corrupt cache entry {path}: {exc}") from exc
-        if len(lines) != 3 or lines[0] != model_id or lines[1] != label:
-            raise EmbeddingError(f"corrupt cache entry {path}")
-        try:
+            text = self.read(model_id, label)
+            if text is None:
+                return None
+            lines = text.splitlines()
+            if len(lines) != 3 or lines[0] != model_id or lines[1] != label:
+                raise ValueError("not the model id, label and vector lines of this key")
             return EmbeddingVector(values=tuple(map(float, lines[2].split())), model_id=model_id)
-        except ValueError as exc:
+        except ValueError as exc:  # bad UTF-8 too
+            path = self.path(model_id, label)
             raise EmbeddingError(f"corrupt cache entry {path}: {exc}") from exc
 
     def put(self, vector: EmbeddingVector, label: str) -> None:
-        with self._write_lock:
-            self.root.mkdir(parents=True, exist_ok=True)
-            path = self._path(vector.model_id, label)
-            body = "\n".join(
-                [vector.model_id, label, " ".join(repr(v) for v in vector.values)]
-            )
-            # The lock serializes one process only, so the temp name is per process.
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            try:
-                tmp.write_text(body + "\n", encoding="utf-8")
-                os.replace(tmp, path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+        body = "\n".join([vector.model_id, label, " ".join(repr(v) for v in vector.values)])
+        self.write(vector.model_id, label, body + "\n")
 
 
 class HttpEncoderClient(JsonEndpointClient):

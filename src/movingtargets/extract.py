@@ -15,7 +15,6 @@ percent signs, and currency symbols; per section, labels are normalized
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import threading
@@ -24,9 +23,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
+from . import fileio
 from .corpus import ROLE_ANALYST, ROLE_OPERATOR, Transcript, YearQuarter
 from .transport import JsonEndpointClient, with_retries
 
@@ -272,27 +271,15 @@ class ExtractorClient(Protocol):
     def complete(self, prompt: str) -> str: ...
 
 
-class RecordingStore:
+class RecordingStore(fileio.KeyedFiles):
     """Directory of recorded responses keyed by digest of (model, prompt)."""
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-
-    @staticmethod
-    def key(model_id: str, prompt: str) -> str:
-        return hashlib.sha256(f"{model_id}\n{prompt}".encode("utf-8")).hexdigest()
-
-    def _path(self, model_id: str, prompt: str) -> Path:
-        return self.root / f"{self.key(model_id, prompt)}.txt"
-
     def get(self, model_id: str, prompt: str) -> str | None:
-        path = self._path(model_id, prompt)
-        if not path.is_file():
-            return None
         try:
-            return path.read_text(encoding="utf-8")
+            return self.read(model_id, prompt)
         except UnicodeDecodeError as exc:
-            raise ExtractionError(f"unreadable recording {path.name}: {exc}") from exc
+            name = self.path(model_id, prompt).name
+            raise ExtractionError(f"unreadable recording {name}: {exc}") from exc
 
 
 class ReplayExtractorClient:

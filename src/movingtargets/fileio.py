@@ -1,0 +1,98 @@
+"""The file layer: atomic writes, CSV tables and keyed files, on the standard library only."""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import itertools
+import json
+import os
+import threading
+from pathlib import Path
+from typing import Callable, Iterable, Sequence, TextIO, TypeVar
+
+T = TypeVar("T")
+
+
+def replace(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Let ``write`` fill ``<name>.<pid>.tmp``, then rename it over ``path``."""
+
+    # The temp name ends in neither ".json" nor ".txt", so no glob of outputs matches it.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as handle:
+            write(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: Path, payload: object) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    replace(path, lambda handle: handle.write(text))
+
+
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    # The rows stream into the file, so a large table is never held in memory.
+    lines = itertools.chain([header], rows)
+    replace(path, lambda handle: csv.writer(handle, lineterminator="\n").writerows(lines))
+
+
+def read_table(
+    path: Path,
+    columns: Sequence[str],
+    parse: Callable[[dict[str, str], int], T],
+    *,
+    extra_columns: bool = False,
+) -> list[T]:
+    """``parse(record, line number)`` of every row; blank lines are skipped.
+
+    The header is ``columns``, or holds them if ``extra_columns``; each row
+    has as many fields as the header. A breach raises ``ValueError``.
+    """
+
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, [])
+            missing = [column for column in columns if column not in header]
+            if missing and extra_columns:
+                raise ValueError(f"missing column {missing[0]!r}")
+            if header != list(columns) and not extra_columns:
+                raise ValueError(f"expected header {','.join(columns)}")
+            records = []
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    )
+                records.append(parse(dict(zip(header, row)), reader.line_num))
+            return records
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
+
+
+class KeyedFiles:
+    """One text file under ``root`` per (model, text), named by the SHA-256 of the pair."""
+
+    def __init__(self, root: str | Path) -> None:
+        self.root = Path(root)
+        # The temp name of a write is per process, so threads take turns.
+        self._write_lock = threading.Lock()
+
+    @staticmethod
+    def key(model_id: str, text: str) -> str:
+        return hashlib.sha256(f"{model_id}\n{text}".encode("utf-8")).hexdigest()
+
+    def path(self, model_id: str, text: str) -> Path:
+        return self.root / f"{self.key(model_id, text)}.txt"
+
+    def read(self, model_id: str, text: str) -> str | None:
+        path = self.path(model_id, text)
+        return path.read_text(encoding="utf-8") if path.is_file() else None
+
+    def write(self, model_id: str, text: str, content: str) -> None:
+        with self._write_lock:
+            self.root.mkdir(parents=True, exist_ok=True)
+            replace(self.path(model_id, text), lambda handle: handle.write(content))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from movingtargets.backtest import (
     FM_REGRESSORS,
+    BacktestError,
     InsufficientHistoryError,
     InsufficientOverlapError,
     MonthlySeries,
@@ -388,6 +389,15 @@ class TestOls:
         with pytest.raises(InsufficientHistoryError):
             ols([1.0, 2.0], [[1.0, 0.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("where", ["y", "X"])
+    def test_non_finite_input_rejected(self, bad, where):
+        X = np.column_stack([np.ones(10), np.arange(10.0)])
+        y = np.arange(10.0)
+        (y if where == "y" else X)[3] = bad
+        with pytest.raises(BacktestError, match="not finite"):
+            ols(y, X)
+
 
 class TestFactorAlpha:
     def test_series_equal_to_rf_is_flat_zero(self):
@@ -431,6 +441,12 @@ class TestFactorAlpha:
         net = factor_alpha(s, factors, "excess", subtract_rf=True)
         assert gross.alpha == pytest.approx(0.01, abs=1e-15)
         assert net.alpha == pytest.approx(0.005, abs=1e-15)
+
+    def test_overflowing_variance_rejected(self):
+        factors = flat_factors(Month(2020, 1), 30)
+        s = series(Month(2020, 1), [0.01] * 29 + [1e200])
+        with pytest.raises(BacktestError, match="variance"):
+            factor_alpha(s, factors, "excess")
 
     def test_unknown_model_rejected(self):
         factors = flat_factors(Month(2020, 1), 30)

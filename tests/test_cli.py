@@ -454,6 +454,26 @@ def short_row(lines):
     return [lines[0], ",".join(lines[1].split(",")[:2]) + "\n", *lines[2:]]
 
 
+def set_field(column, value, **match):
+    """A corruption that sets ``column`` to ``value`` in the first CSV row that holds ``match``."""
+
+    def corrupt(path):
+        with path.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        row = next(r for r in rows if match.items() <= r.items())
+        row[column] = value
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+
+    return corrupt
+
+
+def extra_field(lines):
+    return [lines[0], lines[1].rstrip("\n") + ",7\n", *lines[2:]]
+
+
 def edit_json(edit):
     """A corruption that applies ``edit`` to the parsed document and writes it back."""
 
@@ -465,6 +485,9 @@ def edit_json(edit):
     return corrupt
 
 
+# (file, corruption, command, error code). The file is named relative to a
+# copy of the pipeline's outputs, which also holds the copy of the corpus
+# that the command runs on, under ``corpus/``.
 CORRUPT_INPUTS = {
     "corrupt-summary": (
         "score_summary.json", lambda path: path.write_text("{not json", encoding="utf-8"),
@@ -507,6 +530,45 @@ CORRUPT_INPUTS = {
         "scores.csv", lambda path: rewrite_lines(path, short_row),
         "backtest", "malformed-score-table",
     ),
+    "scores-value-nan": (
+        "scores.csv", set_field("value", "nan", method="semantic", firm="AAPL", year="2021"),
+        "backtest", "malformed-score-table",
+    ),
+    "scores-value-inf": (
+        "scores.csv", set_field("value", "inf", method="semantic", firm="AAPL", year="2021"),
+        "backtest", "malformed-score-table",
+    ),
+    "returns-short-row": (
+        "corpus/returns.csv", lambda path: rewrite_lines(path, short_row),
+        "backtest", "malformed-input",
+    ),
+    "returns-extra-field": (
+        "corpus/returns.csv", lambda path: rewrite_lines(path, extra_field),
+        "backtest", "malformed-input",
+    ),
+    "returns-month-13": (
+        "corpus/returns.csv", set_field("month", "2019-13", firm="AAPL", month="2019-06"),
+        "backtest", "malformed-input",
+    ),
+    # A Q3 2021 holding month: the variance of its portfolio's series overflows.
+    "returns-huge-holding-month": (
+        "corpus/returns.csv", set_field("ret", "1e200", firm="AAPL", month="2021-06"),
+        "backtest", "backtest-error",
+    ),
+    # Before any holding month: only the trailing 12-month return of later rows
+    # overflows, to an infinite regressor of the cross-sectional regressions.
+    "returns-huge-trailing-months": (
+        "corpus/returns.csv",
+        lambda path: [
+            set_field("ret", "1e200", firm="AAPL", month=month)(path)
+            for month in ("2019-04", "2019-05")
+        ],
+        "backtest", "backtest-error",
+    ),
+    "factors-short-row": (
+        "corpus/factors.csv", lambda path: rewrite_lines(path, short_row),
+        "backtest", "malformed-input",
+    ),
     "target-set-repeats-firm-quarter": (
         "targets/AAPL_2019Q1.llm.json",
         lambda path: shutil.copy(path, path.with_name("copy.llm.json")),
@@ -545,16 +607,27 @@ def snapshot(out):
     return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def copy_outputs_and_corpus(full_corpus, pipeline_out, out):
+    """Copy the pipeline's outputs to ``out`` and the corpus to ``out / "corpus"``.
+
+    No command reads a subdirectory of the outputs but ``targets/``.
+    """
+
+    shutil.copytree(pipeline_out, out)
+    shutil.copytree(full_corpus.root, out / "corpus")
+    return ["--config", str(out / "corpus" / "config.yaml"), "--out-dir", str(out)]
+
+
 @pytest.mark.parametrize("case", sorted(CORRUPT_INPUTS))
 def test_malformed_input_gives_one_error_line_and_keeps_outputs(
     full_corpus, pipeline_out, tmp_path, case
 ):
     name, corrupt, command, code = CORRUPT_INPUTS[case]
     out = tmp_path / "out"
-    shutil.copytree(pipeline_out, out)
+    options = copy_outputs_and_corpus(full_corpus, pipeline_out, out)
     corrupt(out / name)
     before = snapshot(out)
-    result = invoke(CliRunner(), full_corpus, command, out_dir=out)
+    result = CliRunner().invoke(main, [command, *options])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     assert len(result.stderr.splitlines()) == 1
@@ -617,10 +690,8 @@ def mutations(original):
     return truncated | flipped
 
 
-# (file, command). The file is named relative to a copy of the pipeline's
-# outputs, which also holds the copy of the corpus that the commands run on,
-# under ``corpus/`` (no command reads a subdirectory of the outputs but
-# ``targets/``). A mutated config may also exit 2, ``invalid-config``.
+# (file, command), the file named as in CORRUPT_INPUTS. A mutated config may
+# also exit 2, ``invalid-config``.
 FUZZED_INPUTS = [
     ("scores.csv", ["backtest"]),
     ("score_matches.csv", ["report-frequencies"]),
@@ -628,19 +699,19 @@ FUZZED_INPUTS = [
     ("targets/*.llm.json", ["score", "--method", "llm"]),
     ("corpus/config.yaml", ["score", "--method", "baseline"]),
     ("corpus/transcripts/*.json", ["extract", "--method", "baseline"]),
+    ("corpus/returns.csv", ["backtest"]),
+    ("corpus/factors.csv", ["backtest"]),
 ]
 
 
 @pytest.mark.parametrize("pattern, command", FUZZED_INPUTS)
 def test_mutated_input_exits_cleanly(full_corpus, pipeline_out, tmp_path, pattern, command):
     out = tmp_path / "out"
-    shutil.copytree(pipeline_out, out)
-    shutil.copytree(full_corpus.root, out / "corpus")
+    args = [*command, *copy_outputs_and_corpus(full_corpus, pipeline_out, out)]
     path = sorted(out.glob(pattern))[0]
     exits = (0, 1, 2) if path.name == "config.yaml" else (0, 1)
     original = path.read_bytes()
     runner = CliRunner()
-    args = [*command, "--config", str(out / "corpus" / "config.yaml"), "--out-dir", str(out)]
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(mutations(original))

@@ -231,6 +231,31 @@ class TestLoadReturns:
         with pytest.raises(CorpusError, match="positive"):
             load_returns(path)
 
+    @pytest.mark.parametrize(
+        "row, fields", [("AAPL,2020-03,0.01", 3), ("AAPL,2020-03,0.01,1000,0.5,7", 6)]
+    )
+    def test_row_without_a_field_per_column_rejected(self, tmp_path, row, fields):
+        path = tmp_path / "returns.csv"
+        path.write_text(
+            f"firm,month,ret,mktcap,bm\nAAPL,2020-02,0.01,1000,0.5\n{row}\n", encoding="utf-8"
+        )
+        with pytest.raises(CorpusError, match=f"line 3: expected 5 fields, got {fields}"):
+            load_returns(path)
+
+    def test_extra_columns_and_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "returns.csv"
+        path.write_text(
+            "permno,firm,month,ret,mktcap,bm\n\n1,AAPL,2020-03,0.02,1000,0.5\n\n", encoding="utf-8"
+        )
+        assert load_returns(path).rows == (ReturnRow("AAPL", Month(2020, 3), 0.02, 1000.0, 0.5),)
+
+    @pytest.mark.parametrize("month", ["2020-00", "2020-13"])
+    def test_month_outside_the_year_rejected(self, tmp_path, month):
+        path = tmp_path / "returns.csv"
+        path.write_text(f"firm,month,ret,mktcap,bm\nAAPL,{month},0.01,1000,0.5\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="YYYY-MM"):
+            load_returns(path)
+
 
 class TestLoadFactors:
     def test_valid_file(self, tmp_path):
@@ -261,6 +286,12 @@ class TestLoadFactors:
             encoding="utf-8",
         )
         with pytest.raises(CorpusError, match="duplicate"):
+            load_factors(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "factors.csv"
+        path.write_text("month,mkt_rf,smb,hml,mom,liq,rf\n2020-01,0.01,0\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="line 2: expected 7 fields, got 3"):
             load_factors(path)
 
     def test_month_gap_rejected(self, tmp_path):

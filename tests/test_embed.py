@@ -1,12 +1,12 @@
 from __future__ import annotations
 
+import io
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from movingtargets import embed, transport
+from movingtargets import fileio, transport
 from movingtargets.embed import (
     DimensionMismatchError,
     EmbeddingCache,
@@ -74,19 +74,24 @@ class TestEmbeddingCache:
 
     @pytest.mark.parametrize("step", ["write", "rename"])
     def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch, step):
-        write_text = Path.write_text
+        replace = fileio.replace
 
-        def write_part(path, text, **kwargs):
-            write_text(path, text[:3], **kwargs)
-            raise OSError("write failed")
+        def write_part(path, write):
+            def write_three_chars(handle):
+                text = io.StringIO()
+                write(text)
+                handle.write(text.getvalue()[:3])
+                raise OSError("write failed")
+
+            replace(path, write_three_chars)
 
         def fail_rename(*args):
             raise OSError("rename failed")
 
         if step == "write":
-            monkeypatch.setattr(Path, "write_text", write_part)
+            monkeypatch.setattr(fileio, "replace", write_part)
         else:
-            monkeypatch.setattr(embed.os, "replace", fail_rename)
+            monkeypatch.setattr(fileio.os, "replace", fail_rename)
         cache = EmbeddingCache(tmp_path)
         with pytest.raises(OSError, match=f"{step} failed"):
             cache.put(EmbeddingVector((1.0, 2.0), "enc"), "label")

@@ -16,6 +16,7 @@ import csv
 import json
 import shutil
 import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -75,19 +76,52 @@ def offline_pass(full_corpus, tmp_path_factory, run_cli):
     return out, loaded
 
 
-def test_only_the_transport_imports_requests():
-    importers = set()
+def package_nodes():
+    """(file name, node) of every AST node of the package's modules."""
+
     for path in Path(movingtargets.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(module.partition(".")[0] == "requests" for module in modules):
-                importers.add(path.name)
+            yield path.name, node
+
+
+def imported_modules(node):
+    """The top-level modules an import statement names; a relative one is ``"."``."""
+
+    if isinstance(node, ast.Import):
+        return {alias.name.partition(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        return {"." if node.level else (node.module or "").partition(".")[0]}
+    return set()
+
+
+def test_only_the_transport_imports_requests():
+    importers = {name for name, node in package_nodes() if "requests" in imported_modules(node)}
     assert importers == {"transport.py"}
+
+
+# What replaces a file or reads or writes CSV: only the file layer does.
+FILE_LAYER_CALLS = {("os", "replace"), ("csv", "reader"), ("csv", "DictReader"), ("csv", "writer")}
+
+
+def test_only_the_file_layer_replaces_files_and_handles_csv():
+    callers = set()
+    for name, node in package_nodes():
+        if isinstance(node, ast.ImportFrom) and node.module in ("os", "csv"):
+            calls = {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            calls = {(node.value.id, node.attr)}
+        else:
+            continue
+        if calls & FILE_LAYER_CALLS:
+            callers.add(name)
+    assert callers == {"fileio.py"}
+
+
+def test_the_file_layer_imports_only_the_standard_library():
+    modules = set().union(
+        *(imported_modules(node) for name, node in package_nodes() if name == "fileio.py")
+    )
+    assert modules and modules <= sys.stdlib_module_names
 
 
 def test_importing_the_cli_loads_neither_numpy_nor_requests(run_python):
