@@ -262,6 +262,15 @@ def finite_float(value: str, column: str, where: str) -> float:
     return parsed
 
 
+def _month_field(value: str, where: str) -> Month:
+    """``value`` as a ``Month``; a month that does not parse is an error naming ``where``."""
+
+    try:
+        return Month.parse(value.strip())
+    except CorpusError as exc:
+        raise CorpusError(f"{exc} at {where}") from exc
+
+
 def _read_table(
     path: Path, columns: Sequence[str], parse: Callable[[dict[str, str], str], T]
 ) -> list[T]:
@@ -282,7 +291,7 @@ def load_returns(path: str | Path) -> ReturnsTable:
         firm = record["firm"].strip()
         if not firm:
             raise CorpusError(f"empty firm id at {where}")
-        month = Month.parse(record["month"].strip())
+        month = _month_field(record["month"], where)
         ret, mktcap, bm = (finite_float(record[c], c, where) for c in RETURNS_COLUMNS[2:])
         if ret <= -1.0:
             raise CorpusError(f"return must exceed -1 at {where}")
@@ -334,7 +343,7 @@ def load_factors(path: str | Path) -> FactorSeries:
 
     def parse(record: dict[str, str], where: str) -> FactorRow:
         values = {c: finite_float(record[c], c, where) for c in FACTOR_COLUMNS[1:]}
-        return FactorRow(month=Month.parse(record["month"].strip()), **values)
+        return FactorRow(month=_month_field(record["month"], where), **values)
 
     return FactorSeries.from_rows(_read_table(Path(path), FACTOR_COLUMNS, parse))
 

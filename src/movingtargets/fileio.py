@@ -9,18 +9,21 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO, TypeVar
+from typing import IO, Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
 
-def replace(path: Path, write: Callable[[TextIO], object]) -> None:
-    """Let ``write`` fill ``<name>.<pid>.tmp``, then rename it over ``path``."""
+def replace(path: Path, write: Callable[[IO], object], *, binary: bool = False) -> None:
+    """Let ``write`` fill ``<name>.<pid>.tmp``, then rename it over ``path``.
+
+    The handle takes UTF-8 text, or bytes if ``binary``.
+    """
 
     # The temp name ends in neither ".json" nor ".txt", so no glob of outputs matches it.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", encoding="utf-8", newline="") as handle:
+        with tmp.open("wb") if binary else tmp.open("w", encoding="utf-8", newline="") as handle:
             write(handle)
         os.replace(tmp, path)
     except BaseException:
@@ -74,7 +77,9 @@ def read_table(
 
 
 class KeyedFiles:
-    """One text file under ``root`` per (model, text), named by the SHA-256 of the pair."""
+    """One file under ``root`` per (model, text): the SHA-256 of the pair, then ``suffix``."""
+
+    suffix = ".txt"
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -85,14 +90,15 @@ class KeyedFiles:
     def key(model_id: str, text: str) -> str:
         return hashlib.sha256(f"{model_id}\n{text}".encode("utf-8")).hexdigest()
 
-    def path(self, model_id: str, text: str) -> Path:
-        return self.root / f"{self.key(model_id, text)}.txt"
+    def path(self, model_id: str, text: str, suffix: str | None = None) -> Path:
+        return self.root / f"{self.key(model_id, text)}{suffix or self.suffix}"
 
     def read(self, model_id: str, text: str) -> str | None:
         path = self.path(model_id, text)
         return path.read_text(encoding="utf-8") if path.is_file() else None
 
-    def write(self, model_id: str, text: str, content: str) -> None:
+    def write(self, model_id: str, text: str, content: str | bytes) -> None:
+        binary = isinstance(content, bytes)
         with self._write_lock:
             self.root.mkdir(parents=True, exist_ok=True)
-            replace(self.path(model_id, text), lambda handle: handle.write(content))
+            replace(self.path(model_id, text), lambda handle: handle.write(content), binary=binary)

@@ -68,7 +68,7 @@ class JsonEndpointClient:
             )
         try:
             return read(response.json())
-        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, OverflowError, RecursionError) as exc:
             raise self.final_error(f"unexpected {self.payload_kind} payload: {exc}") from exc
 
 

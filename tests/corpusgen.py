@@ -333,3 +333,52 @@ def build_corpus(
         firms=tuple(firms),
         periods=tuple(periods),
     )
+
+
+def cache_entry_vector(cache_dir: Path, label: str, model_id: str = ENCODER_MODEL) -> bytes:
+    """The float64 bytes of the binary cache entry of (``model_id``, ``label``)."""
+
+    header = f"{model_id}\n{label}\n".encode("utf-8")
+    data = (cache_dir / f"{EmbeddingCache.key(model_id, label)}.f64").read_bytes()
+    assert data.startswith(header)
+    return data[len(header) :]
+
+
+def write_cache_entry(
+    cache_dir: Path, label: str, vector: bytes | str, model_id: str = ENCODER_MODEL
+) -> Path:
+    """Replace the cache entry of (``model_id``, ``label``) and return its path.
+
+    ``vector`` as bytes becomes the body of a binary ``.f64`` entry; as text,
+    the vector line of a legacy ``.txt`` entry, with the ``.f64`` entry removed.
+    """
+
+    key = EmbeddingCache.key(model_id, label)
+    header = f"{model_id}\n{label}\n"
+    binary = cache_dir / f"{key}.f64"
+    if isinstance(vector, bytes):
+        binary.write_bytes(header.encode("utf-8") + vector)
+        return binary
+    binary.unlink(missing_ok=True)
+    legacy = cache_dir / f"{key}.txt"
+    legacy.write_text(f"{header}{vector}\n", encoding="utf-8")
+    return legacy
+
+
+def float_reprs(vector: bytes) -> str:
+    """The vector line of a legacy text entry: space-separated float reprs."""
+
+    return " ".join(map(repr, np.frombuffer(vector, "<f8").tolist()))
+
+
+def to_legacy_cache(cache_dir: Path) -> int:
+    """Rewrite every binary entry under ``cache_dir`` as a legacy text entry; returns the count."""
+
+    entries = sorted(cache_dir.glob("*.f64"))
+    for path in entries:
+        model_id, label, _ = path.read_bytes().split(b"\n", 2)
+        label = label.decode("utf-8")
+        model_id = model_id.decode("utf-8")
+        vector = cache_entry_vector(cache_dir, label, model_id)
+        write_cache_entry(cache_dir, label, float_reprs(vector), model_id)
+    return len(entries)

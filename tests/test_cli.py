@@ -4,18 +4,24 @@ import csv
 import json
 import math
 import shutil
+import struct
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import ENCODER_MODEL, EXTRACTOR_MODEL
+from corpusgen import (
+    EXTRACTOR_MODEL,
+    cache_entry_vector,
+    float_reprs,
+    to_legacy_cache,
+    write_cache_entry,
+)
 from movingtargets import backtest
 from movingtargets import corpus as mt_corpus
 from movingtargets import extract
 from movingtargets.cli import PORTFOLIO_METRICS, main
-from movingtargets.embed import EmbeddingCache
 
 
 @pytest.fixture()
@@ -569,6 +575,15 @@ CORRUPT_INPUTS = {
         "corpus/factors.csv", lambda path: rewrite_lines(path, short_row),
         "backtest", "malformed-input",
     ),
+    # A fifth field is a planted value: the error must end with its file and line.
+    "returns-month-00-names-its-line": (
+        "corpus/returns.csv", set_field("month", "2020-00", firm="NVDA", month="2020-02"),
+        "backtest", "malformed-input", "2020-00",
+    ),
+    "factors-month-13-names-its-line": (
+        "corpus/factors.csv", set_field("month", "2019-13", month="2019-06"),
+        "backtest", "malformed-input", "2019-13",
+    ),
     "target-set-repeats-firm-quarter": (
         "targets/AAPL_2019Q1.llm.json",
         lambda path: shutil.copy(path, path.with_name("copy.llm.json")),
@@ -622,7 +637,7 @@ def copy_outputs_and_corpus(full_corpus, pipeline_out, out):
 def test_malformed_input_gives_one_error_line_and_keeps_outputs(
     full_corpus, pipeline_out, tmp_path, case
 ):
-    name, corrupt, command, code = CORRUPT_INPUTS[case]
+    name, corrupt, command, code, *planted = CORRUPT_INPUTS[case]
     out = tmp_path / "out"
     options = copy_outputs_and_corpus(full_corpus, pipeline_out, out)
     corrupt(out / name)
@@ -632,18 +647,32 @@ def test_malformed_input_gives_one_error_line_and_keeps_outputs(
     assert isinstance(result.exception, SystemExit)
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith(f"error: {code}: ")
+    for value in planted:
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        line = next(n for n, text in enumerate(lines, 1) if value in text)
+        assert result.stderr.endswith(f" at {out / name}:{line}\n"), result.stderr
     assert snapshot(out) == before
 
 
+# Corruptions of the cache entry of a label that ``score`` reads. Each of
+# CORRUPT_CACHE_VECTORS edits the vector's float reprs into the vector line of
+# a legacy text entry, which replaces the binary entry; each of
+# CORRUPT_CACHE_BYTES edits the vector bytes of the binary entry.
 CORRUPT_CACHE_VECTORS = {
     "non-numeric-token": lambda tokens: ["abc", *tokens[1:]],
     "empty-vector-line": lambda tokens: [],
     "all-zero-vector": lambda tokens: ["0.0"] * len(tokens),
     "nan-component": lambda tokens: ["nan", *tokens[1:]],
 }
+CORRUPT_CACHE_BYTES = {
+    "f64-empty-vector": lambda data: b"",
+    "f64-all-zero-vector": lambda data: bytes(len(data)),
+    "f64-nan-component": lambda data: struct.pack("<d", math.nan) + data[8:],
+    "f64-length-not-a-multiple-of-8": lambda data: data[:-3],
+}
 
 
-@pytest.mark.parametrize("case", sorted(CORRUPT_CACHE_VECTORS))
+@pytest.mark.parametrize("case", sorted(CORRUPT_CACHE_VECTORS | CORRUPT_CACHE_BYTES))
 def test_corrupt_cache_entry_gives_one_error_line_and_keeps_outputs(
     full_corpus, pipeline_out, tmp_path, case
 ):
@@ -652,10 +681,12 @@ def test_corrupt_cache_entry_gives_one_error_line_and_keeps_outputs(
     out = tmp_path / "out"
     shutil.copytree(pipeline_out, out)
     label = next(r["label"] for r in read_csv(out / "score_matches.csv") if r["method"] == "semantic")
-    entry = root / "embedding_cache" / f"{EmbeddingCache.key(ENCODER_MODEL, label)}.txt"
-    model_id, cached_label, vector = entry.read_text(encoding="utf-8").splitlines()
-    tokens = CORRUPT_CACHE_VECTORS[case](vector.split())
-    entry.write_text("\n".join([model_id, cached_label, " ".join(tokens)]) + "\n", encoding="utf-8")
+    vector = cache_entry_vector(root / "embedding_cache", label)
+    if case in CORRUPT_CACHE_BYTES:
+        corrupted = CORRUPT_CACHE_BYTES[case](vector)
+    else:
+        corrupted = " ".join(CORRUPT_CACHE_VECTORS[case](float_reprs(vector).split()))
+    write_cache_entry(root / "embedding_cache", label, corrupted)
     before = snapshot(out)
     result = CliRunner().invoke(
         main, ["score", "--config", str(root / "config.yaml"), "--out-dir", str(out)]
@@ -665,6 +696,23 @@ def test_corrupt_cache_entry_gives_one_error_line_and_keeps_outputs(
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: embedding-error: "), result.stderr
     assert snapshot(out) == before
+
+
+def test_score_outputs_are_byte_identical_from_a_legacy_text_cache(
+    full_corpus, pipeline_out, tmp_path
+):
+    root = tmp_path / "corpus"
+    shutil.copytree(full_corpus.root, root)
+    assert to_legacy_cache(root / "embedding_cache") > 0
+    assert not list((root / "embedding_cache").glob("*.f64"))
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out / "targets", out / "targets")
+    result = CliRunner().invoke(
+        main, ["score", "--config", str(root / "config.yaml"), "--out-dir", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    for name in ("scores.csv", "score_matches.csv", "score_summary.json"):
+        assert (out / name).read_bytes() == (pipeline_out / name).read_bytes(), name
 
 
 def assert_clean_exit(result, exits=(0, 1)):

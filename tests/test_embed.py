@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import io
 import math
+import re
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movingtargets import fileio, transport
 from movingtargets.embed import (
@@ -18,7 +23,7 @@ from movingtargets.embed import (
     embed_labels,
 )
 
-from corpusgen import HashingEncoderClient
+from corpusgen import HashingEncoderClient, write_cache_entry
 from test_transport import StubResponse, StubSession
 
 
@@ -30,6 +35,24 @@ class TestEmbeddingVector:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             EmbeddingVector((), "m")
+
+
+ONE_TWO = struct.pack("<2d", 1.0, 2.0)
+
+# Entries of the key ("enc", "label"), each broken in one way: (suffix, content).
+# A legacy entry of the wrong model is test_corrupt_entry_detected's.
+CORRUPT_ENTRIES = {
+    "f64-wrong-model": (".f64", b"wrong-model\nlabel\n" + ONE_TWO),
+    "f64-wrong-label": (".f64", b"enc\nother label\n" + ONE_TWO),
+    "f64-bad-utf8-header": (".f64", b"enc\nlab\xffel\n" + ONE_TWO),
+    "f64-truncated-header": (".f64", b"enc\nlab"),
+    "f64-empty-vector": (".f64", b"enc\nlabel\n"),
+    "f64-length-not-a-multiple-of-8": (".f64", b"enc\nlabel\n" + ONE_TWO[:-3]),
+    "txt-wrong-label": (".txt", b"enc\nother label\n1.0 2.0\n"),
+    "txt-bad-utf8-header": (".txt", b"enc\nlab\xffel\n1.0 2.0\n"),
+    "txt-empty-vector": (".txt", b"enc\nlabel\n\n"),
+    "txt-non-numeric": (".txt", b"enc\nlabel\n1.0 abc\n"),
+}
 
 
 class TestEmbeddingCache:
@@ -50,7 +73,6 @@ class TestEmbeddingCache:
 
     def test_corrupt_entry_detected(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
-        cache.put(EmbeddingVector((1.0, 2.0), "enc"), "label")
         path = tmp_path / f"{EmbeddingCache.key('enc', 'label')}.txt"
         path.write_text("wrong-model\nlabel\n1.0 2.0\n", encoding="utf-8")
         with pytest.raises(EmbeddingError, match="corrupt"):
@@ -58,11 +80,60 @@ class TestEmbeddingCache:
 
     def test_undecodable_entry_detected(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
-        cache.put(EmbeddingVector((1.0, 2.0), "enc"), "label")
-        path = tmp_path / f"{EmbeddingCache.key('enc', 'label')}.txt"
+        path = write_cache_entry(tmp_path, "label", "1.0 2.0", model_id="enc")
         path.write_bytes(path.read_bytes() + b"\xff\xfe")
         with pytest.raises(EmbeddingError, match="corrupt"):
             cache.get("enc", "label")
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_ENTRIES))
+    def test_corrupt_entry_of_either_form_names_its_file(self, tmp_path, case):
+        suffix, content = CORRUPT_ENTRIES[case]
+        path = tmp_path / f"{EmbeddingCache.key('enc', 'label')}{suffix}"
+        path.write_bytes(content)
+        with pytest.raises(EmbeddingError, match=re.escape(f"corrupt cache entry {path}: ")):
+            EmbeddingCache(tmp_path).get("enc", "label")
+
+    def test_legacy_text_entry_is_read(self, tmp_path):
+        values = (0.1 + 0.2, 1.0 / 3.0, -7.25e-12, math.pi)
+        write_cache_entry(tmp_path, "label", " ".join(map(repr, values)), model_id="enc")
+        assert EmbeddingCache(tmp_path).get("enc", "label") == EmbeddingVector(values, "enc")
+
+    def test_binary_entry_wins_over_a_legacy_one(self, tmp_path):
+        cache = EmbeddingCache(tmp_path)
+        write_cache_entry(tmp_path, "label", "3.0 4.0", model_id="enc")
+        cache.put(EmbeddingVector((1.0, 2.0), "enc"), "label")
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".f64", ".txt"]
+        assert cache.get("enc", "label").values == (1.0, 2.0)
+
+    def test_put_writes_one_binary_entry_and_no_text(self, tmp_path):
+        EmbeddingCache(tmp_path).put(EmbeddingVector((1.0, -2.5), "enc"), "label")
+        (path,) = tmp_path.iterdir()
+        assert path.name == f"{EmbeddingCache.key('enc', 'label')}.f64"
+        assert path.read_bytes() == b"enc\nlabel\n" + struct.pack("<2d", 1.0, -2.5)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                st.sampled_from([-0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]),
+                # A signalling NaN and a negative quiet NaN, each with a payload.
+                st.sampled_from([0x7FF0_0000_0000_0001, 0xFFF8_DEAD_BEEF_0001]).map(
+                    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+                ),
+                # Any bit pattern, NaN payloads included.
+                st.binary(min_size=8, max_size=8).map(lambda raw: struct.unpack("<d", raw)[0]),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_round_trip_keeps_every_bit(self, tmp_path_factory, values):
+        root = tmp_path_factory.mktemp("cache")
+        cache = EmbeddingCache(root)
+        cache.put(EmbeddingVector(tuple(values), "enc"), "label")
+        restored = np.array(cache.get("enc", "label").values)
+        np.testing.assert_array_equal(restored.view(np.int64), np.array(values).view(np.int64))
 
     def test_put_ignores_the_shared_temp_name(self, tmp_path):
         # Another process's leftover (or in-flight) "<key>.tmp" must not
@@ -76,14 +147,14 @@ class TestEmbeddingCache:
     def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch, step):
         replace = fileio.replace
 
-        def write_part(path, write):
-            def write_three_chars(handle):
-                text = io.StringIO()
-                write(text)
-                handle.write(text.getvalue()[:3])
+        def write_part(path, write, **options):
+            def write_three_bytes(handle):
+                data = io.BytesIO()
+                write(data)
+                handle.write(data.getvalue()[:3])
                 raise OSError("write failed")
 
-            replace(path, write_three_chars)
+            replace(path, write_three_bytes, **options)
 
         def fail_rename(*args):
             raise OSError("rename failed")
@@ -261,5 +332,25 @@ class TestHttpEncoderClient:
         cache = EmbeddingCache(tmp_path)
         with pytest.raises(EmbeddingError, match="unexpected embeddings payload"):
             embed_labels(["first", "second"], client, cache)
+        assert len(session.requests) == 1
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_integer_components_are_numbers(self):
+        payload = {"data": [{"index": 0, "embedding": [1, 0, -2]}]}
+        session = StubSession([StubResponse(200, payload)])
+        client = HttpEncoderClient("http://enc", "enc-model", session=session)
+        assert client.embed(["x"])[0].values == (1.0, 0.0, -2.0)
+
+    @pytest.mark.parametrize(
+        "component",
+        ["0.5", True, None, [0.5], {"x": 0.5}, 10**400],
+        ids=["string", "bool", "null", "list", "object", "int-beyond-float64"],
+    )
+    def test_non_number_component_is_rejected_and_nothing_is_cached(self, tmp_path, component):
+        payload = {"data": [{"index": 0, "embedding": [1.0, component]}]}
+        session = StubSession([StubResponse(200, payload)])
+        client = HttpEncoderClient("http://enc", "enc-model", session=session)
+        with pytest.raises(EmbeddingError, match="unexpected embeddings payload"):
+            embed_labels(["x"], client, EmbeddingCache(tmp_path))
         assert len(session.requests) == 1
         assert list(tmp_path.rglob("*")) == []

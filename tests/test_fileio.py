@@ -77,3 +77,14 @@ class TestKeyedFiles:
         assert files.read("m", "text") == "body\n"
         assert files.path("m", "text") == tmp_path / "root" / f"{KeyedFiles.key('m', 'text')}.txt"
         assert [p.name for p in (tmp_path / "root").iterdir()] == [files.path("m", "text").name]
+
+    def test_a_class_suffix_names_the_files_and_bytes_are_written_as_they_are(self, tmp_path):
+        class BinaryFiles(KeyedFiles):
+            suffix = ".bin"
+
+        files = BinaryFiles(tmp_path)
+        files.write("m", "text", b"\x00\xff\r\n")
+        (path,) = tmp_path.iterdir()
+        assert path == files.path("m", "text") == tmp_path / f"{KeyedFiles.key('m', 'text')}.bin"
+        assert path.read_bytes() == b"\x00\xff\r\n"
+        assert files.path("m", "text", ".txt") == path.with_suffix(".txt")

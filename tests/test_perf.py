@@ -4,10 +4,11 @@ Deselected by default; run with ``pytest -m perf``. The inputs match the
 benchmark's semantic-wide scoring (24 firms x 20 quarters x 16 labels from
 720 distinct labels at 3,072 dimensions), its history-long discrete scoring
 (16 firms x 48 quarters x 12 labels from 480) and its history-long backtest
-(16 firms x 48 quarters of scores). The start-up timings run a child
-process: ``import movingtargets.cli``, and one offline
-``report-frequencies`` on the fixture corpus, which imports neither numpy
-nor requests.
+(16 firms x 48 quarters of scores), and the cold-online cache fill (240
+labels at 3,072 dimensions put into and read back from the embedding cache).
+The start-up timings run a child process: ``import movingtargets.cli``, and
+one offline ``report-frequencies`` on the fixture corpus, which imports
+neither numpy nor requests.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from click.testing import CliRunner
 from movingtargets.backtest import build_assignments
 from movingtargets.cli import main
 from movingtargets.corpus import YearQuarter, shift_quarters
-from movingtargets.embed import EmbeddingVector
+from movingtargets.embed import EmbeddingCache, EmbeddingVector
 from movingtargets.extract import TargetLabel, TargetSet
 from movingtargets.score import (
     METHOD_DISCRETE,
@@ -107,6 +108,20 @@ def test_build_assignments(benchmark):
     ]
     result = benchmark(build_assignments, records)
     assert len(result.assignments) == 16 * 40
+
+
+def test_embedding_cache_fill_and_read(benchmark, tmp_path):
+    rng = np.random.default_rng(4)
+    labels = [f"target {i:03d}" for i in range(240)]
+    vectors = [EmbeddingVector(tuple(rng.standard_normal(3072).tolist()), "m") for _ in labels]
+    cache = EmbeddingCache(tmp_path)
+
+    def fill_and_read():
+        for label, vector in zip(labels, vectors):
+            cache.put(vector, label)
+        return [cache.get("m", label) for label in labels]
+
+    assert benchmark(fill_and_read) == vectors
 
 
 def test_cli_import(benchmark, run_python):

@@ -25,7 +25,7 @@ import pytest
 import yaml
 
 import movingtargets
-from corpusgen import ENCODER_MODEL
+from corpusgen import cache_entry_vector, float_reprs, write_cache_entry
 from movingtargets.embed import EmbeddingCache
 from movingtargets.extract import RecordingStore
 
@@ -243,9 +243,9 @@ def test_online_score_retries_and_matches_offline(full_corpus, offline_pass, run
         assert (online_out / name).read_bytes() == (offline_out / name).read_bytes(), name
 
 
-def test_corrupt_cache_entry_is_one_embedding_error_line(
-    full_corpus, offline_pass, run_cli, tmp_path
-):
+def corrupt_cache_entry(full_corpus, offline_pass, tmp_path, corrupt):
+    """Copies of the corpus and outputs, with ``corrupt(vector bytes)`` as a scored label's entry."""
+
     pipeline_out, _ = offline_pass
     root = tmp_path / "corpus"
     shutil.copytree(full_corpus.root, root)
@@ -253,10 +253,29 @@ def test_corrupt_cache_entry_is_one_embedding_error_line(
     shutil.copytree(pipeline_out, out)
     with (out / "score_matches.csv").open(newline="", encoding="utf-8") as handle:
         label = next(r["label"] for r in csv.DictReader(handle) if r["method"] == "semantic")
-    entry = root / "embedding_cache" / f"{EmbeddingCache.key(ENCODER_MODEL, label)}.txt"
-    model_id, cached_label, vector = entry.read_text(encoding="utf-8").splitlines()
-    entry.write_text(f"{model_id}\n{cached_label}\nabc {vector}\n", encoding="utf-8")
-    result, _ = run_cli(tmp_path, root / "config.yaml", out, "score")
+    vector = cache_entry_vector(root / "embedding_cache", label)
+    write_cache_entry(root / "embedding_cache", label, corrupt(vector))
+    return root / "config.yaml", out
+
+
+def test_corrupt_cache_entry_is_one_embedding_error_line(
+    full_corpus, offline_pass, run_cli, tmp_path
+):
+    # A legacy text entry whose vector line starts with a token that is no number.
+    config, out = corrupt_cache_entry(
+        full_corpus, offline_pass, tmp_path, lambda vector: f"abc {float_reprs(vector)}"
+    )
+    result, _ = run_cli(tmp_path, config, out, "score")
+    one_error_line(result, "embedding-error")
+
+
+def test_corrupt_binary_cache_entry_is_one_embedding_error_line(
+    full_corpus, offline_pass, run_cli, tmp_path
+):
+    config, out = corrupt_cache_entry(
+        full_corpus, offline_pass, tmp_path, lambda vector: vector[:-3]
+    )
+    result, _ = run_cli(tmp_path, config, out, "score")
     one_error_line(result, "embedding-error")
 
 
