@@ -1,21 +1,23 @@
 """Label embeddings: encoder clients, a file cache and the one vector check.
 
-Vectors are stored exactly as delivered (no pre-normalization). ``unit_rows``
-is the only rule for a usable vector: one dimension per model and a finite,
-non-zero row norm. ``embed_labels`` runs it on every fresh encoder batch
-before anything is cached, and ``score`` runs it on the stacked vocabulary
-of one model, whose rows it scales to unit norm once. The cache holds one
-file per (model, label) key so cached vectors can be audited and replayed
-offline: two text lines naming the model and the label, then the vector as
-raw little-endian float64 bytes. Write-then-read returns bit-identical values.
-Legacy plain-text entries are still read; an entry of either form that does
-not decode into a vector of its key is reported as corrupt.
+Vectors are stored exactly as delivered (no pre-normalization). Each one is
+held as a read-only float64 row, from the cache or the encoder into
+``unit_rows``, the only rule for a usable vector: one dimension per model
+and a finite, non-zero row norm. ``embed_labels`` runs it on every fresh
+encoder batch before anything is cached, and ``score`` runs it on the
+stacked vocabulary of one model, whose rows it scales to unit norm once.
+The cache holds one file per (model, label) key so cached vectors can be
+audited and replayed offline: two text lines naming the model and the
+label, then the vector as raw little-endian float64 bytes. Write-then-read
+returns bit-identical values. A legacy plain-text entry is parsed once: the
+first read writes its vector, if usable, as a binary entry beside it, which
+later reads take. An entry of either form that does not decode into a
+vector of its key is reported as corrupt.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Iterable, Protocol, Sequence
 
 import numpy as np
@@ -48,20 +50,53 @@ class NormError(EmbeddingError):
         self.row = row
 
 
-@dataclass(frozen=True)
 class EmbeddingVector:
-    """Dense embedding of one label, tagged with its encoder model."""
+    """Dense embedding of one label, tagged with its encoder model.
 
-    values: tuple[float, ...]
-    model_id: str
+    The components are held once, as ``row``: a read-only one-dimensional
+    float64 array. A read-only float64 array is held as given; any other
+    sequence of numbers is copied into one. ``values`` gives the same bits
+    as a tuple of floats.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.values) == 0:
-            raise ValueError("embedding vector must be non-empty")
+    __slots__ = ("row", "model_id")
+
+    def __init__(self, values: Sequence[float] | np.ndarray, model_id: str) -> None:
+        row = values
+        if not (
+            isinstance(row, np.ndarray) and row.dtype == np.float64 and not row.flags.writeable
+        ):
+            row = np.array(values, dtype=np.float64)
+            row.flags.writeable = False
+        if row.ndim != 1 or row.size == 0:
+            raise ValueError("embedding vector must be a non-empty row of numbers")
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "model_id", model_id)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an EmbeddingVector")
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.row.tolist())
 
     @property
     def dim(self) -> int:
-        return len(self.values)
+        return self.row.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # The identity test keeps a vector holding a NaN equal to itself.
+        return self is other or (
+            self.model_id == other.model_id and np.array_equal(self.row, other.row)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.model_id))
+
+    def __repr__(self) -> str:
+        return f"EmbeddingVector(values={self.values!r}, model_id={self.model_id!r})"
 
 
 class EncoderClient(Protocol):
@@ -90,7 +125,7 @@ def unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
     # A norm that overflows is rejected below as not finite.
     with np.errstate(over="ignore"):
         for i, vector in enumerate(vectors):
-            matrix[i] = vector.values
+            matrix[i] = vector.row
             norms[i] = np.linalg.norm(matrix[i : i + 1], axis=1)
     bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
     if bad.size:
@@ -105,7 +140,9 @@ class EmbeddingCache(fileio.KeyedFiles):
 
     A legacy ``<key>.txt`` entry holds the same two lines and a third with the
     vector as space-separated float reprs. ``get`` reads it when no ``.f64``
-    entry exists; ``put`` writes only ``.f64``.
+    entry exists and, if ``unit_rows`` accepts its vector, writes the same
+    bits as the ``.f64`` entry through ``put``; the ``.txt`` entry is kept.
+    ``put`` writes only ``.f64``.
     """
 
     suffix = ".f64"
@@ -125,26 +162,27 @@ class EmbeddingCache(fileio.KeyedFiles):
                 size = len(data) - len(header)
                 if size == 0 or size % 8:
                     raise ValueError(f"a vector of {size} bytes, not a positive multiple of 8")
-                values = tuple(np.frombuffer(data, "<f8", offset=len(header)).tolist())
-            else:
-                path = self.path(model_id, label, ".txt")
-                if not path.is_file():
-                    return None
-                # ``text`` stays bound until the vector is built. Freeing it
-                # first packed the heap tighter and made scoring's later row
-                # copies slower: ``score`` on a 720-label text cache at 3,072
-                # dimensions took 8% longer.
-                text = path.read_text(encoding="utf-8")
-                lines = text.splitlines()
-                if len(lines) != 3 or lines[0] != model_id or lines[1] != label:
-                    raise ValueError("not the model id, label and vector lines of this key")
-                values = tuple(map(float, lines[2].split()))
-            return EmbeddingVector(values=values, model_id=model_id)
+                return EmbeddingVector(np.frombuffer(data, "<f8", offset=len(header)), model_id)
+            path = self.path(model_id, label, ".txt")
+            if not path.is_file():
+                return None
+            lines = path.read_text(encoding="utf-8").splitlines()
+            if len(lines) != 3 or lines[0] != model_id or lines[1] != label:
+                raise ValueError("not the model id, label and vector lines of this key")
+            vector = EmbeddingVector(tuple(map(float, lines[2].split())), model_id)
         except ValueError as exc:  # bad UTF-8 too
             raise EmbeddingError(f"corrupt cache entry {path}: {exc}") from exc
+        # Like an encoder vector, a vector that unit_rows rejects is never
+        # written. A cache that cannot be written is still read.
+        try:
+            unit_rows([vector])
+            self.put(vector, label)
+        except (NormError, OSError):
+            pass
+        return vector
 
     def put(self, vector: EmbeddingVector, label: str) -> None:
-        data = np.array(vector.values, dtype="<f8").tobytes()
+        data = vector.row.astype("<f8", copy=False).tobytes()
         self.write(vector.model_id, label, self._header(vector.model_id, label) + data)
 
 
@@ -169,7 +207,8 @@ class HttpEncoderClient(JsonEndpointClient):
                 # JSON numbers only: float() would also take "0.5" and true.
                 if not set(map(type, values)) <= {int, float}:
                     raise ValueError(f"vector {item['index']} has a component that is not a number")
-                vectors.append(EmbeddingVector(tuple(map(float, values)), self.model_id))
+                # An integer beyond float64 raises OverflowError here.
+                vectors.append(EmbeddingVector(values, self.model_id))
             return vectors
 
         return with_retries(lambda: self.post(payload, read), EncoderTransportError)

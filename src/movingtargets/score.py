@@ -275,9 +275,17 @@ def score_corpus(
             raise EmbeddingError(f"label {vocabulary[exc.row]!r}: {exc}") from exc
         row_of = {text: i for i, text in enumerate(vocabulary)}
 
-    def embedded(ts: TargetSet) -> EmbeddedTargets:
+    # Each pair's unit rows are taken into one of two buffers sized by the
+    # longest set, so no per-set array is allocated. mode="clip" fills ``out``
+    # in place ("raise" buffers it through a temporary); every index comes
+    # from ``row_of``, so none is clipped.
+    longest = max((len(ts.texts) for ts in by_key.values()), default=0)
+    current_rows, previous_rows = (np.empty((longest, units.shape[1])) for _ in range(2))
+
+    def embedded(ts: TargetSet, buffer: np.ndarray) -> EmbeddedTargets:
         rows = np.array([row_of[text] for text in ts.texts], dtype=np.intp)
-        return EmbeddedTargets(firm=ts.firm, period=ts.period, texts=ts.texts, units=units[rows])
+        out = np.take(units, rows, axis=0, out=buffer[: len(rows)], mode="clip")
+        return EmbeddedTargets(firm=ts.firm, period=ts.period, texts=ts.texts, units=out)
 
     tau_field = tau if method == METHOD_SEMANTIC else None
     records: list[MovingTargetsScore] = []
@@ -306,8 +314,8 @@ def score_corpus(
 
         if method == METHOD_SEMANTIC:
             record, pair_matches = semantic_mt_score(
-                embedded(current),
-                embedded(previous),
+                embedded(current, current_rows),
+                embedded(previous, previous_rows),
                 tau,
                 direction=direction,
                 empty_current=empty_current,

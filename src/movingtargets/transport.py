@@ -2,7 +2,9 @@
 
 A connection failure, a 5xx or a 429 (RFC 9110 §15.6, RFC 6585 §4) is
 transient and retried by ``with_retries``; any other non-200 status is
-final. requests is imported only when a client is built or posts.
+final. A 429 or 503 carries its ``Retry-After`` delay in seconds, if it
+gives one (RFC 9110 §10.2.3), as the error's ``retry_after``. requests is
+imported only when a client is built or posts.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ if TYPE_CHECKING:
 
 TRANSPORT_ATTEMPTS = 3
 BACKOFF_BASE_S = 0.5
+# The longest wait a Retry-After can ask for, so one reply cannot stall a run.
+RETRY_AFTER_CAP_S = 60.0
 TIMEOUT_S = 120.0
 
 T = TypeVar("T")
@@ -61,7 +65,10 @@ class JsonEndpointClient:
         except requests.RequestException as exc:
             raise self.transient_error(f"{self.role} request failed: {exc}") from exc
         if response.status_code >= 500 or response.status_code == 429:
-            raise self.transient_error(f"{self.role} endpoint returned {response.status_code}")
+            error = self.transient_error(f"{self.role} endpoint returned {response.status_code}")
+            if response.status_code in (429, 503):
+                error.retry_after = _retry_after_s(response.headers.get("Retry-After"))
+            raise error
         if response.status_code != 200:
             raise self.final_error(
                 f"{self.role} endpoint returned {response.status_code}: {response.text[:200]}"
@@ -72,19 +79,32 @@ class JsonEndpointClient:
             raise self.final_error(f"unexpected {self.payload_kind} payload: {exc}") from exc
 
 
+def _retry_after_s(value: str | None) -> float | None:
+    """The delay-seconds form of a ``Retry-After`` value; None for an HTTP-date or anything else."""
+
+    text = (value or "").strip()
+    # isdigit alone would also take non-ASCII digits such as "²".
+    return float(text) if text.isascii() and text.isdigit() else None
+
+
 def with_retries(
     call: Callable[[], T], transient: type[Exception], sleep: Callable[[float], None] | None = None
 ) -> T:
     """``call()``, called again on ``transient`` up to ``TRANSPORT_ATTEMPTS`` times in all.
 
     Waits ``BACKOFF_BASE_S`` before the second call and twice as long before
-    each later one, with ``sleep`` or else ``time.sleep`` looked up at the
-    wait. After the last failure, raises ``transient`` chained to it.
+    each later one, or longer if the failure's ``retry_after`` asks, up to
+    ``RETRY_AFTER_CAP_S``, with ``sleep`` or else ``time.sleep`` looked up at
+    the wait. After the last failure, raises ``transient`` chained to it.
     """
 
     for attempt in range(TRANSPORT_ATTEMPTS):
         if attempt:
-            (sleep or time.sleep)(BACKOFF_BASE_S * 2 ** (attempt - 1))
+            wait = BACKOFF_BASE_S * 2 ** (attempt - 1)
+            retry_after = getattr(last, "retry_after", None)
+            if retry_after is not None:
+                wait = max(wait, min(retry_after, RETRY_AFTER_CAP_S))
+            (sleep or time.sleep)(wait)
         try:
             return call()
         except transient as exc:

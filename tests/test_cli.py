@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusgen import (
+    ENCODER_MODEL,
     EXTRACTOR_MODEL,
     cache_entry_vector,
     float_reprs,
@@ -22,6 +23,7 @@ from movingtargets import backtest
 from movingtargets import corpus as mt_corpus
 from movingtargets import extract
 from movingtargets.cli import PORTFOLIO_METRICS, main
+from movingtargets.embed import EmbeddingCache
 
 
 @pytest.fixture()
@@ -696,6 +698,10 @@ def test_corrupt_cache_entry_gives_one_error_line_and_keeps_outputs(
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: embedding-error: "), result.stderr
     assert snapshot(out) == before
+    if case in CORRUPT_CACHE_VECTORS:
+        # The broken legacy entry was not upgraded to a binary one.
+        key = EmbeddingCache.key(ENCODER_MODEL, label)
+        assert not (root / "embedding_cache" / f"{key}.f64").exists()
 
 
 def test_score_outputs_are_byte_identical_from_a_legacy_text_cache(
@@ -703,16 +709,25 @@ def test_score_outputs_are_byte_identical_from_a_legacy_text_cache(
 ):
     root = tmp_path / "corpus"
     shutil.copytree(full_corpus.root, root)
-    assert to_legacy_cache(root / "embedding_cache") > 0
-    assert not list((root / "embedding_cache").glob("*.f64"))
+    cache_dir = root / "embedding_cache"
+    entries = to_legacy_cache(cache_dir)
+    assert entries > 0
+    assert not list(cache_dir.glob("*.f64"))
     out = tmp_path / "out"
     shutil.copytree(pipeline_out / "targets", out / "targets")
-    result = CliRunner().invoke(
-        main, ["score", "--config", str(root / "config.yaml"), "--out-dir", str(out)]
-    )
-    assert result.exit_code == 0, result.output
-    for name in ("scores.csv", "score_matches.csv", "score_summary.json"):
-        assert (out / name).read_bytes() == (pipeline_out / name).read_bytes(), name
+    # The first run reads every text entry and upgrades it. The second reads
+    # the binary entries alone, with the text entries gone.
+    for run in ("text", "upgraded"):
+        if run == "upgraded":
+            assert len(list(cache_dir.glob("*.f64"))) == entries
+            for path in cache_dir.glob("*.txt"):
+                path.unlink()
+        result = CliRunner().invoke(
+            main, ["score", "--config", str(root / "config.yaml"), "--out-dir", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        for name in ("scores.csv", "score_matches.csv", "score_summary.json"):
+            assert (out / name).read_bytes() == (pipeline_out / name).read_bytes(), (run, name)
 
 
 def assert_clean_exit(result, exits=(0, 1)):

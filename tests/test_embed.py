@@ -36,6 +36,42 @@ class TestEmbeddingVector:
         with pytest.raises(ValueError):
             EmbeddingVector((), "m")
 
+    def test_values_dim_equality_hash_and_repr_are_those_of_the_tuple(self):
+        v = EmbeddingVector(values=(1.0, -0.0, 2.5), model_id="m")
+        assert v.values == (1.0, -0.0, 2.5)
+        assert all(type(x) is float for x in v.values)
+        assert math.copysign(1.0, v.values[1]) == -1.0
+        assert v.dim == 3
+        assert v == EmbeddingVector([1, 0.0, 2.5], "m")
+        assert v != EmbeddingVector((1.0, 0.0, 2.5), "other")
+        assert v != EmbeddingVector((1.0, 0.0), "m")
+        assert hash(v) == hash(((1.0, -0.0, 2.5), "m"))
+        assert repr(v) == "EmbeddingVector(values=(1.0, -0.0, 2.5), model_id='m')"
+        nan = EmbeddingVector((math.nan, 1.0), "m")
+        assert nan == nan
+
+    def test_row_is_read_only_and_not_shared_with_a_writeable_source(self):
+        source = np.array([1.0, 2.0])
+        v = EmbeddingVector(source, "m")
+        source[0] = 9.0
+        assert v.values == (1.0, 2.0)
+        assert v.row.dtype == np.float64 and not v.row.flags.writeable
+        with pytest.raises(ValueError):
+            v.row[0] = 3.0
+        with pytest.raises(AttributeError):
+            v.model_id = "other"
+
+    def test_read_only_float64_row_is_held_as_given(self):
+        row = np.frombuffer(struct.pack("<2d", 1.0, 2.0), "<f8")
+        assert EmbeddingVector(row, "m").row is row
+
+    @pytest.mark.parametrize(
+        "values", [np.empty(0), [[1.0, 2.0]], 1.0], ids=["empty-row", "matrix", "scalar"]
+    )
+    def test_rejects_anything_but_a_non_empty_row(self, values):
+        with pytest.raises(ValueError, match="non-empty row"):
+            EmbeddingVector(values, "m")
+
 
 ONE_TWO = struct.pack("<2d", 1.0, 2.0)
 
@@ -92,11 +128,63 @@ class TestEmbeddingCache:
         path.write_bytes(content)
         with pytest.raises(EmbeddingError, match=re.escape(f"corrupt cache entry {path}: ")):
             EmbeddingCache(tmp_path).get("enc", "label")
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_legacy_text_entry_is_read(self, tmp_path):
         values = (0.1 + 0.2, 1.0 / 3.0, -7.25e-12, math.pi)
         write_cache_entry(tmp_path, "label", " ".join(map(repr, values)), model_id="enc")
         assert EmbeddingCache(tmp_path).get("enc", "label") == EmbeddingVector(values, "enc")
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-1e150, 1e150, allow_subnormal=True)
+            | st.sampled_from([-0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0]),
+            max_size=15,
+        ),
+        st.floats(1e-150, 1e150),
+    )
+    def test_legacy_entry_read_once_is_upgraded_to_the_same_bits(
+        self, tmp_path_factory, values, large
+    ):
+        root = tmp_path_factory.mktemp("cache")
+        values = [large, *values]
+        legacy = write_cache_entry(root, "label", " ".join(map(repr, values)), model_id="enc")
+        bits = np.array(values).view(np.int64)
+        cache = EmbeddingCache(root)
+        first = cache.get("enc", "label")
+        np.testing.assert_array_equal(first.row.view(np.int64), bits)
+        binary = root / f"{EmbeddingCache.key('enc', 'label')}.f64"
+        assert legacy.is_file()
+        body = np.frombuffer(binary.read_bytes(), "<f8", offset=len(b"enc\nlabel\n"))
+        np.testing.assert_array_equal(body.view(np.int64), bits)
+        legacy.unlink()
+        np.testing.assert_array_equal(cache.get("enc", "label").row.view(np.int64), bits)
+
+    @pytest.mark.parametrize(
+        "line", ["0.0 0.0", "nan 1.0", "1.0 -inf", "1e-200 1e-200", "1e200 1e200"],
+        ids=["zero", "nan", "infinite", "norm-underflows", "norm-overflows"],
+    )
+    def test_unusable_legacy_vector_is_read_but_not_upgraded(self, tmp_path, line):
+        legacy = write_cache_entry(tmp_path, "label", line, model_id="enc")
+        cache = EmbeddingCache(tmp_path)
+        expected = np.array([float(x) for x in line.split()]).view(np.int64)
+        for _ in range(2):
+            np.testing.assert_array_equal(cache.get("enc", "label").row.view(np.int64), expected)
+            assert list(tmp_path.iterdir()) == [legacy]
+
+    @pytest.mark.parametrize("step", ["replace", "rename"])
+    def test_failed_upgrade_write_still_returns_the_vector(self, tmp_path, monkeypatch, step):
+        def refuse(*args, **options):
+            raise PermissionError("read-only cache")
+
+        # "replace" fails before any file is opened; "rename" after the temp file is written.
+        monkeypatch.setattr(fileio if step == "replace" else fileio.os, "replace", refuse)
+        legacy = write_cache_entry(tmp_path, "label", "1.0 2.0", model_id="enc")
+        cache = EmbeddingCache(tmp_path)
+        for _ in range(2):
+            assert cache.get("enc", "label") == EmbeddingVector((1.0, 2.0), "enc")
+            assert list(tmp_path.iterdir()) == [legacy]
 
     def test_binary_entry_wins_over_a_legacy_one(self, tmp_path):
         cache = EmbeddingCache(tmp_path)

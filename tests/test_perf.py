@@ -4,8 +4,10 @@ Deselected by default; run with ``pytest -m perf``. The inputs match the
 benchmark's semantic-wide scoring (24 firms x 20 quarters x 16 labels from
 720 distinct labels at 3,072 dimensions), its history-long discrete scoring
 (16 firms x 48 quarters x 12 labels from 480) and its history-long backtest
-(16 firms x 48 quarters of scores), and the cold-online cache fill (240
-labels at 3,072 dimensions put into and read back from the embedding cache).
+(16 firms x 48 quarters of scores), the cold-online cache fill (240
+labels at 3,072 dimensions put into and read back from the embedding cache)
+and semantic-wide's warm legacy text cache (720 labels at 3,072 dimensions,
+read twice: the first read upgrades every entry, the second reads binary).
 The start-up timings run a child process: ``import movingtargets.cli``, and
 one offline ``report-frequencies`` on the fixture corpus, which imports
 neither numpy nor requests.
@@ -13,14 +15,18 @@ neither numpy nor requests.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from corpusgen import write_cache_entry
+
 from movingtargets.backtest import build_assignments
 from movingtargets.cli import main
 from movingtargets.corpus import YearQuarter, shift_quarters
-from movingtargets.embed import EmbeddingCache, EmbeddingVector
+from movingtargets.embed import EmbeddingCache, EmbeddingVector, embed_labels
 from movingtargets.extract import TargetLabel, TargetSet
 from movingtargets.score import (
     METHOD_DISCRETE,
@@ -122,6 +128,29 @@ def test_embedding_cache_fill_and_read(benchmark, tmp_path):
         return [cache.get("m", label) for label in labels]
 
     assert benchmark(fill_and_read) == vectors
+
+
+def test_legacy_cache_upgrade_and_reread(benchmark, tmp_path):
+    rng = np.random.default_rng(5)
+    labels = [f"target {i:03d}" for i in range(720)]
+    # Multiples of 2^-16, as the benchmark's generated cache holds.
+    rows = rng.integers(-(2**16), 2**16, size=(len(labels), 3072)) / 2**16
+    lines = [" ".join(map(repr, row)) for row in rows.tolist()]
+    caches = (tmp_path / f"cache-{n}" for n in itertools.count())
+
+    def legacy_cache():
+        root = next(caches)
+        root.mkdir()
+        for label, line in zip(labels, lines):
+            write_cache_entry(root, label, line, model_id="m")
+        return (EmbeddingCache(root),), {}
+
+    def upgrade_then_reread(cache):
+        return [embed_labels(labels, None, cache, model_id="m") for _ in range(2)]
+
+    first, second = benchmark.pedantic(upgrade_then_reread, setup=legacy_cache, rounds=2)
+    assert first == second
+    np.testing.assert_array_equal(np.stack([vector.row for vector in second]), rows)
 
 
 def test_cli_import(benchmark, run_python):

@@ -14,10 +14,11 @@ from movingtargets.extract import ExtractionError, HttpChatCompletionClient, Tra
 
 
 class StubResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -112,6 +113,45 @@ def test_budget_is_three_attempts_per_request(endpoint, slept):
         endpoint.request(client)
     assert len(session.requests) == 3
     assert slept == [0.5, 1.0]
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, wait",
+    [
+        (429, "3", 3.0),
+        (503, "2", 2.0),
+        (503, "0", transport.BACKOFF_BASE_S),
+        (429, "86400", transport.RETRY_AFTER_CAP_S),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", transport.BACKOFF_BASE_S),
+        (503, "1.5", transport.BACKOFF_BASE_S),
+        (429, "-1", transport.BACKOFF_BASE_S),
+        (429, "\u00b2", transport.BACKOFF_BASE_S),
+        (500, "3", transport.BACKOFF_BASE_S),
+        (502, "3", transport.BACKOFF_BASE_S),
+    ],
+    ids=["429", "503", "zero", "capped", "http-date", "fraction", "negative", "non-ascii-digit",
+         "500-ignores-it", "502-ignores-it"],
+)
+def test_retry_after_delay_seconds_lengthens_the_wait(status, retry_after, wait):
+    chat = ENDPOINTS[0]
+    failure = StubResponse(status, headers={"Retry-After": retry_after})
+    client, session = client_with(chat, failure, StubResponse(200, chat.ok))
+    waits = []
+    transport.with_retries(lambda: client.complete("prompt"), TransportError, sleep=waits.append)
+    assert len(session.requests) == 2
+    assert waits == [wait]
+
+
+def test_retry_after_is_read_by_both_clients_and_never_shortens_the_backoff(endpoint, slept):
+    client, session = client_with(
+        endpoint,
+        StubResponse(429, headers={"Retry-After": "5"}),
+        StubResponse(503, headers={"Retry-After": "0"}),
+        StubResponse(200, endpoint.ok),
+    )
+    endpoint.request(client)
+    assert len(session.requests) == 3
+    assert slept == [5.0, 1.0]
 
 
 @pytest.mark.parametrize("status", [400, 401, 404, 422])
