@@ -41,6 +41,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence, TypeVar
 
@@ -158,21 +159,38 @@ def _target_set_name(target_set: extract.TargetSet) -> str:
     return f"{target_set.firm}_{target_set.period}.{target_set.method}.json"
 
 
+# A target-set file is ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``
+# of {firm, labels: [{section, source_index, text}], method, quarter, year},
+# rendered by hand: with an indent, ``json.dumps`` runs its pure-Python encoder.
+_TARGET_SET_FILE = (
+    '{\n  "firm": %s,\n  "labels": %s,\n  "method": %s,\n  "quarter": %d,\n  "year": %d\n}\n'
+)
+_TARGET_LABEL = '    {\n      "section": %s,\n      "source_index": %d,\n      "text": %s\n    }'
+
+
+def _render_target_set(target_set: extract.TargetSet) -> str:
+    """The text of ``target_set``'s file, as ``json.dumps`` writes it (see ``_TARGET_SET_FILE``)."""
+
+    quote = encode_basestring_ascii
+    labels = ",\n".join(
+        _TARGET_LABEL % (quote(label.section), label.source_index, quote(label.text))
+        for label in target_set.labels
+    )
+    return _TARGET_SET_FILE % (
+        quote(target_set.firm),
+        f"[\n{labels}\n  ]" if labels else "[]",
+        quote(target_set.method),
+        target_set.period.quarter,
+        target_set.period.year,
+    )
+
+
 def _write_target_set(targets_dir: Path, target_set: extract.TargetSet) -> str:
     """Write ``target_set`` under ``targets_dir`` and return the file's name."""
 
     name = _target_set_name(target_set)
-    payload = {
-        "firm": target_set.firm,
-        "year": target_set.period.year,
-        "quarter": target_set.period.quarter,
-        "method": target_set.method,
-        "labels": [
-            {"text": label.text, "section": label.section, "source_index": label.source_index}
-            for label in target_set.labels
-        ],
-    }
-    fileio.write_json(targets_dir / name, payload)
+    text = _render_target_set(target_set)
+    fileio.replace(targets_dir / name, lambda handle: handle.write(text))
     return name
 
 
@@ -181,6 +199,9 @@ def _parse_target_set(doc: Any) -> extract.TargetSet:
         extract.TargetLabel(item["text"], item["section"], int(item["source_index"]))
         for item in doc["labels"]
     )
+    for label in labels:
+        if not fileio.encodes_as_utf8(label.text):
+            raise ValueError(f"label {label.text!r} holds a lone surrogate, not UTF-8")
     return extract.TargetSet(
         firm=str(doc["firm"]),
         period=corpus.YearQuarter(int(doc["year"]), int(doc["quarter"])),

@@ -17,7 +17,7 @@ import json
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -138,12 +138,19 @@ def _infer_role(speaker: str) -> str:
     raise CorpusError(f"cannot infer role from speaker tag {speaker!r}")
 
 
+def _check_utf8(text: str, what: str, path: Path) -> None:
+    if not fileio.encodes_as_utf8(text):
+        raise CorpusError(f"{what} holds a lone surrogate, which UTF-8 cannot encode, in {path}")
+
+
 def load_transcript(path: str | Path) -> Transcript:
     """Load one transcript file: {firm, year, quarter, utterances:[...]}.
 
     The firm id names output files, so it may not contain '/', '\\' or NUL.
     Utterance indices must run contiguously from zero and every utterance
-    text must be non-empty; roles are inferred from the speaker tag.
+    text must be non-empty; roles are inferred from the speaker tag. The
+    firm, speakers and texts must encode as UTF-8: a ``\\ud800`` escape in
+    the JSON gives a lone surrogate, which no prompt digest or output takes.
     """
 
     path = Path(path)
@@ -162,6 +169,7 @@ def load_transcript(path: str | Path) -> Transcript:
         raise CorpusError(f"malformed transcript header in {path}: {exc}") from exc
     if not firm:
         raise CorpusError(f"empty firm id in {path}")
+    _check_utf8(firm, "firm id", path)
     if any(ch in firm for ch in "/\\\0"):
         raise CorpusError(f"firm id {firm!r} contains a path separator or NUL in {path}")
     if not isinstance(raw_utterances, list) or not raw_utterances:
@@ -182,6 +190,8 @@ def load_transcript(path: str | Path) -> Transcript:
             raise CorpusError(f"duplicate utterance index {index} in {path}")
         if not text.strip():
             raise CorpusError(f"empty utterance text at index {index} in {path}")
+        _check_utf8(speaker, f"speaker at index {index}", path)
+        _check_utf8(text, f"utterance text at index {index}", path)
         seen.add(index)
         utterances.append(Utterance(index, speaker, _infer_role(speaker), text))
 
@@ -189,6 +199,18 @@ def load_transcript(path: str | Path) -> Transcript:
     if [u.index for u in utterances] != list(range(len(utterances))):
         raise CorpusError(f"non-contiguous indices in {path}")
     return Transcript(firm=firm, period=period, utterances=tuple(utterances))
+
+
+def _place(row: object, rows: Iterable[object], where: Sequence[str] | None) -> str:
+    """`` at <path>:<line>`` of ``row``: the ``where`` of its position in ``rows``.
+
+    "" if ``where`` is None. The rows are sorted stably, so of two rows for
+    one month the later in the file is the one reported as repeated.
+    """
+
+    if where is None:
+        return ""
+    return f" at {where[next(i for i, other in enumerate(rows) if other is row)]}"
 
 
 @dataclass(frozen=True)
@@ -213,13 +235,18 @@ class ReturnsTable:
     _by_firm: Mapping[str, tuple[list[int], int]] = field(repr=False, compare=False)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[ReturnRow]) -> "ReturnsTable":
+    def from_rows(
+        cls, rows: Iterable[ReturnRow], where: Sequence[str] | None = None
+    ) -> "ReturnsTable":
+        """The table of ``rows``; errors name ``where[i]`` (``path:line``) for ``rows[i]``."""
+
         ordered = tuple(sorted(rows, key=lambda r: (r.firm, r.month)))
         by_firm: dict[str, tuple[list[int], int]] = {}
         for position, row in enumerate(ordered):
             months, _ = by_firm.setdefault(row.firm, ([], position))
             if months and months[-1] == row.month.index:
-                raise CorpusError(f"duplicate return row for {row.firm} {row.month}")
+                at = _place(row, rows, where)
+                raise CorpusError(f"duplicate return row for {row.firm} {row.month}{at}")
             months.append(row.month.index)
         return cls(rows=ordered, _by_firm=by_firm)
 
@@ -273,11 +300,17 @@ def _month_field(value: str, where: str) -> Month:
 
 def _read_table(
     path: Path, columns: Sequence[str], parse: Callable[[dict[str, str], str], T]
-) -> list[T]:
+) -> tuple[list[T], list[str]]:
+    """``parse(record, where)`` of each row, and each row's ``where``: ``<path>:<line>``."""
+
+    places: list[str] = []
+
+    def parse_row(record: dict[str, str], line: int) -> T:
+        places.append(f"{path}:{line}")
+        return parse(record, places[-1])
+
     try:
-        return fileio.read_table(
-            path, columns, lambda record, line: parse(record, f"{path}:{line}"), extra_columns=True
-        )
+        return fileio.read_table(path, columns, parse_row, extra_columns=True), places
     except CorpusError:
         raise
     except (OSError, ValueError) as exc:
@@ -301,7 +334,7 @@ def load_returns(path: str | Path) -> ReturnsTable:
             raise CorpusError(f"bm must be positive at {where}")
         return ReturnRow(firm=firm, month=month, ret=ret, mktcap=mktcap, bm=bm)
 
-    return ReturnsTable.from_rows(_read_table(Path(path), RETURNS_COLUMNS, parse))
+    return ReturnsTable.from_rows(*_read_table(Path(path), RETURNS_COLUMNS, parse))
 
 
 @dataclass(frozen=True)
@@ -317,20 +350,31 @@ class FactorRow:
 
 @dataclass(frozen=True)
 class FactorSeries:
-    """Monthly factor returns, one row per month of a contiguous span, in order."""
+    """Monthly factor returns, one row per month of a contiguous span, in order.
+
+    ``place(row)`` names a row's place in its file for errors (see ``_place``).
+    """
 
     rows: tuple[FactorRow, ...]
+    place: InitVar[Callable[[FactorRow], str] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, place: Callable[[FactorRow], str] | None) -> None:
         for prev, cur in zip(self.rows, self.rows[1:]):
+            if cur.month.index == prev.month.index + 1:
+                continue
+            where = place(cur) if place else ""
             if cur.month == prev.month:
-                raise CorpusError(f"duplicate factor row for {cur.month}")
-            if cur.month.index != prev.month.index + 1:
-                raise CorpusError(f"factor months not contiguous: gap after {prev.month}")
+                raise CorpusError(f"duplicate factor row for {cur.month}{where}")
+            raise CorpusError(f"factor months not contiguous: gap after {prev.month}{where}")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[FactorRow]) -> "FactorSeries":
-        return cls(rows=tuple(sorted(rows, key=lambda r: r.month)))
+    def from_rows(
+        cls, rows: Iterable[FactorRow], where: Sequence[str] | None = None
+    ) -> "FactorSeries":
+        """The series of ``rows``; errors name ``where[i]`` (``path:line``) for ``rows[i]``."""
+
+        ordered = tuple(sorted(rows, key=lambda r: r.month))
+        return cls(ordered, lambda row: _place(row, rows, where))
 
     def get(self, month: Month) -> FactorRow | None:
         # A month's row sits at the month's offset from the first month.
@@ -345,7 +389,7 @@ def load_factors(path: str | Path) -> FactorSeries:
         values = {c: finite_float(record[c], c, where) for c in FACTOR_COLUMNS[1:]}
         return FactorRow(month=_month_field(record["month"], where), **values)
 
-    return FactorSeries.from_rows(_read_table(Path(path), FACTOR_COLUMNS, parse))
+    return FactorSeries.from_rows(*_read_table(Path(path), FACTOR_COLUMNS, parse))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from json.encoder import encode_basestring
 from typing import Callable, Iterable, Protocol
 
 from . import fileio
@@ -44,6 +45,8 @@ VIOLATION_MALFORMED = "malformed_item"
 VIOLATION_INDEX = "index_out_of_range"
 
 _CURRENCY_CHARS = "$€£¥₩¢"
+# ASCII letters and single spaces: such a label can break no label rule.
+_PLAIN_LABEL_RE = re.compile(r"[A-Za-z]+(?: [A-Za-z]+)*")
 _INPUT_SLOT = "<inputs>earnings-call transcript as indexed JSON dialog</inputs>"
 
 
@@ -115,6 +118,8 @@ def merged_texts(target_set: TargetSet) -> tuple[str, ...]:
 def validate_target_label(text: str) -> list[str]:
     """Return rule violations for a candidate label; empty means valid."""
 
+    if _PLAIN_LABEL_RE.fullmatch(text):
+        return []
     violations = []
     if not text.strip():
         violations.append(VIOLATION_EMPTY)
@@ -163,14 +168,23 @@ def _prompt_template() -> str:
     return template
 
 
+# The dialog is ``json.dumps([{index, speaker, text}, ...], ensure_ascii=False,
+# indent=2)`` of the utterances, rendered by hand: with an indent, ``json.dumps``
+# runs its pure-Python encoder. Recordings are keyed by the prompt's digest, so
+# every byte of this layout is part of the key.
+_DIALOG_ITEM = '  {\n    "index": %d,\n    "speaker": %s,\n    "text": %s\n  }'
+
+
 def serialize_dialog(transcript: Transcript) -> str:
     """Transcript as an indexed JSON dialog, byte-stable for equal inputs."""
 
-    dialog = [
-        {"index": u.index, "speaker": u.speaker, "text": u.text}
+    if not transcript.utterances:
+        return "[]"
+    items = ",\n".join(
+        _DIALOG_ITEM % (u.index, encode_basestring(u.speaker), encode_basestring(u.text))
         for u in transcript.utterances
-    ]
-    return json.dumps(dialog, ensure_ascii=False, indent=2)
+    )
+    return f"[\n{items}\n]"
 
 
 def build_extraction_prompt(transcript: Transcript) -> str:
@@ -235,6 +249,8 @@ def _check_item(item: object, transcript_len: int) -> tuple[str | None, int, lis
     index = item.get("index")
     if not isinstance(target, str) or not isinstance(index, int) or isinstance(index, bool):
         return target if isinstance(target, str) else None, -1, [VIOLATION_MALFORMED]
+    if not fileio.encodes_as_utf8(target):
+        return target, -1, [VIOLATION_MALFORMED]
     found = validate_target_label(target)
     if not 0 <= index < transcript_len:
         found = found + [VIOLATION_INDEX]
@@ -474,12 +490,11 @@ def extract_targets_baseline(transcript: Transcript) -> TargetSet:
         for i, word in enumerate(words):
             if word not in BASELINE_KEYWORDS:
                 continue
+            # One or two [a-z]+ words joined by a space: a valid label.
             if i > 0 and words[i - 1] in _DETERMINERS:
                 phrase = f"{words[i - 1]} {word}"
             else:
                 phrase = word
-            if validate_target_label(phrase):
-                continue
             harvested.append(TargetLabel(phrase, section, utterance.index))
 
     labels = normalize_and_dedupe(harvested)

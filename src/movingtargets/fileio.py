@@ -31,6 +31,18 @@ def replace(path: Path, write: Callable[[IO], object], *, binary: bool = False) 
         raise
 
 
+def encodes_as_utf8(text: str) -> bool:
+    """False if ``text`` holds a lone surrogate, which no UTF-8 file or digest can take."""
+
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def write_json(path: Path, payload: object) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     replace(path, lambda handle: handle.write(text))

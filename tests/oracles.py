@@ -7,8 +7,9 @@ rows, the quintile reference recomputes the breakpoints for every record
 instead of once per period, the merge reference scans a list of each
 call's normalised texts, the discrete reference takes a set difference of
 them, the regression oracle solves the normal equations explicitly instead
-of using a least-squares routine, and the returns-join references scan every
-row and every month instead of using the per-firm month index.
+of using a least-squares routine, the returns-join references scan every
+row and every month instead of using the per-firm month index, and the label
+rule checks every rule on every label, with no shortcut for plain words.
 """
 
 from __future__ import annotations
@@ -227,3 +228,18 @@ def calendar_time_returns_loop(assignments, rows):
             member_counts[(month, quintile)] = len(rets)
         month = month.shift(1)
     return per_quintile, member_counts
+
+
+def validate_target_label_reference(text: str) -> list[str]:
+    """The label rule with every check run on every label: violations in order."""
+
+    violations = []
+    if not text.strip():
+        violations.append("empty")
+    if any(ch.isdigit() for ch in text):
+        violations.append("digit")
+    if "%" in text:
+        violations.append("percent")
+    if any(ch in "$€£¥₩¢" for ch in text):
+        violations.append("currency")
+    return violations

@@ -22,8 +22,9 @@ from corpusgen import (
 from movingtargets import backtest
 from movingtargets import corpus as mt_corpus
 from movingtargets import extract
-from movingtargets.cli import PORTFOLIO_METRICS, main
+from movingtargets.cli import PORTFOLIO_METRICS, _render_target_set, main
 from movingtargets.embed import EmbeddingCache
+from test_extract import JSON_TEXT
 
 
 @pytest.fixture()
@@ -82,6 +83,28 @@ class TestExtractCommand:
         assert any(e["file"] == "AAPL_2019Q1.json" for e in diagnostics["errors"])
         assert len(list((out / "targets").glob("*.llm.json"))) == 23
 
+    def test_lone_surrogate_in_transcript_is_per_file_error(self, runner, small_corpus, tmp_path):
+        root = tmp_path / "corpus"
+        shutil.copytree(small_corpus.root, root)
+        bad = root / "transcripts" / "AAPL_2019Q1.json"
+        doc = json.loads(bad.read_text(encoding="utf-8"))
+        doc["utterances"][0]["text"] += " \ud800"
+        # json.dumps writes the escape \ud800, which json.loads reads back as a lone surrogate.
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["extract", "--method", "both", "--config", str(root / "config.yaml"),
+             "--out-dir", str(out)],
+        )
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [PARTIAL_EXTRACTION_LINE]
+        diagnostics = json.loads((out / "extract_diagnostics.json").read_text())
+        assert [e["file"] for e in diagnostics["errors"]] == ["AAPL_2019Q1.json"]
+        assert "lone surrogate" in diagnostics["errors"][0]["error"]
+        assert len(list((out / "targets").glob("*.llm.json"))) == 23
+        assert len(list((out / "targets").glob("*.baseline.json"))) == 23
+
     def test_missing_recording_is_per_file_error(self, runner, small_corpus, tmp_path):
         root = tmp_path / "corpus"
         shutil.copytree(small_corpus.root, root)
@@ -120,6 +143,33 @@ class TestExtractCommand:
         assert [e["file"] for e in diagnostics["errors"]] == ["AAPL_2020Q4"]
         assert len(list((out / "targets").glob("*.llm.json"))) == 23
         assert len(list((out / "targets").glob("*.baseline.json"))) == 24
+
+    def test_lone_surrogate_label_in_recording_is_dropped(self, runner, small_corpus, tmp_path):
+        root = tmp_path / "corpus"
+        shutil.copytree(small_corpus.root, root)
+        transcript = mt_corpus.load_transcript(root / "transcripts" / "AAPL_2020Q4.json")
+        prompt = extract.build_extraction_prompt(transcript)
+        key = extract.RecordingStore.key(EXTRACTOR_MODEL, prompt)
+        recording = root / "recordings" / f"{key}.txt"
+        clean = tmp_path / "clean"
+        result = invoke(runner, small_corpus, "extract", "--method", "llm", out_dir=clean)
+        assert result.exit_code == 0, result.output
+        response = json.loads(recording.read_text(encoding="utf-8"))
+        response["presentation"].insert(0, {"target": "gross \ud800 margin", "index": 0})
+        recording.write_text(json.dumps(response), encoding="utf-8")
+        out = tmp_path / "out"
+        config = ["--config", str(root / "config.yaml"), "--out-dir", str(out)]
+        for command in ("extract", "score"):
+            result = runner.invoke(main, [command, "--method", "llm", *config])
+            assert result.exit_code == 0, result.output
+        dropped = [
+            json.loads((run / "extract_diagnostics.json").read_text())
+            ["dropped_label_violations"]["llm"].get("malformed_item", 0)
+            for run in (clean, out)
+        ]
+        assert dropped[1] == dropped[0] + 1
+        name = "targets/AAPL_2020Q4.llm.json"
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
 
     @pytest.mark.parametrize("firm", ["../../escaped", "AA\0PL"])
     def test_firm_id_that_is_no_file_name_is_per_file_error(
@@ -423,6 +473,43 @@ class TestConfigValidation:
         assert "recordings_dir" in result.output
 
 
+@st.composite
+def target_sets(draw):
+    """Sets of any texts, sections and indices the set accepts, empty ones included."""
+
+    labels = draw(
+        st.lists(
+            st.builds(
+                extract.TargetLabel,
+                JSON_TEXT.filter(extract.normalize_label),
+                st.sampled_from(extract.SECTIONS),
+                st.integers(0, 2**40),
+            ),
+            max_size=5,
+            unique_by=lambda label: (label.section, extract.normalize_label(label.text)),
+        )
+    )
+    period = mt_corpus.YearQuarter(draw(st.integers(0, 9999)), draw(st.integers(1, 4)))
+    return extract.TargetSet(draw(JSON_TEXT), period, tuple(labels), draw(JSON_TEXT))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(target_sets())
+def test_target_set_file_is_the_sorted_indented_json_dump(target_set):
+    payload = {
+        "firm": target_set.firm,
+        "year": target_set.period.year,
+        "quarter": target_set.period.quarter,
+        "method": target_set.method,
+        "labels": [
+            {"text": label.text, "section": label.section, "source_index": label.source_index}
+            for label in target_set.labels
+        ],
+    }
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert _render_target_set(target_set) == expected
+
+
 def test_portfolio_metrics_name_every_alpha_model():
     assert tuple(model for _, model in PORTFOLIO_METRICS) == backtest.ALPHA_MODELS
 
@@ -586,6 +673,31 @@ CORRUPT_INPUTS = {
         "corpus/factors.csv", set_field("month", "2019-13", month="2019-06"),
         "backtest", "malformed-input", "2019-13",
     ),
+    # The second row of a month is the repeated one.
+    "returns-duplicate-row-names-its-line": (
+        "corpus/returns.csv",
+        lambda path: [
+            set_field("ret", "0.0424242", firm="NVDA", month="2020-03")(path),
+            set_field("month", "2020-02", firm="NVDA", ret="0.0424242")(path),
+        ],
+        "backtest", "malformed-input", "0.0424242",
+    ),
+    "factors-duplicate-row-names-its-line": (
+        "corpus/factors.csv",
+        lambda path: [
+            set_field("liq", "0.0424242", month="2019-07")(path),
+            set_field("month", "2019-06", liq="0.0424242")(path),
+        ],
+        "backtest", "malformed-input", "0.0424242",
+    ),
+    # The first row after the gap is named.
+    "factors-gap-names-its-line": (
+        "corpus/factors.csv",
+        lambda path: rewrite_lines(path, lambda lines: [
+            line for line in lines if not line.startswith("2019-06,")
+        ]),
+        "backtest", "malformed-input", "2019-07",
+    ),
     "target-set-repeats-firm-quarter": (
         "targets/AAPL_2019Q1.llm.json",
         lambda path: shutil.copy(path, path.with_name("copy.llm.json")),
@@ -594,6 +706,11 @@ CORRUPT_INPUTS = {
     "target-set-blank-label": (
         "targets/AAPL_2019Q1.llm.json",
         edit_json(lambda doc: doc["labels"][0].update(text="   ")),
+        "score", "malformed-target-set",
+    ),
+    "target-set-label-lone-surrogate": (
+        "targets/AAPL_2019Q1.llm.json",
+        edit_json(lambda doc: doc["labels"][0].update(text="gross \ud800 margin")),
         "score", "malformed-target-set",
     ),
     "target-set-firm-is-an-int": (

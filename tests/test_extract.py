@@ -30,11 +30,12 @@ from movingtargets.extract import (
     normalize_and_dedupe,
     parse_extraction_response,
     qa_start_index,
+    serialize_dialog,
     serialize_target_set,
     validate_target_label,
 )
 
-from oracles import merged_texts_reference
+from oracles import merged_texts_reference, validate_target_label_reference
 from test_transport import StubResponse, StubSession
 
 GOLDEN = Path(__file__).parent / "data" / "prompt_golden.txt"
@@ -575,3 +576,69 @@ def variant_target_sets(draw):
 def test_texts_are_the_reference_merge(target_set):
     assert target_set.texts == tuple(merged_texts_reference(target_set))
     assert merged_texts(target_set) == target_set.texts
+
+
+# Text that JSON must escape or may pass through: quotes, backslashes, control
+# characters, the line and paragraph separators, non-BMP characters and lone
+# surrogates, besides letters, digits, spaces and the label rules' symbols.
+JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\u2029\ufeff\ud800\udfff 5%$€'),
+        st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+        st.characters(),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(JSON_TEXT, JSON_TEXT), max_size=6))
+def test_dialog_is_the_indented_json_dump(pairs):
+    transcript = Transcript(
+        "AAPL",
+        YearQuarter(2020, 1),
+        tuple(Utterance(i, speaker, "executive", text) for i, (speaker, text) in enumerate(pairs)),
+    )
+    dialog = [
+        {"index": u.index, "speaker": u.speaker, "text": u.text} for u in transcript.utterances
+    ]
+    assert serialize_dialog(transcript) == json.dumps(dialog, ensure_ascii=False, indent=2)
+
+
+LABEL_TEXT = st.one_of(
+    JSON_TEXT,
+    st.lists(st.text("abqzABQZ", min_size=1, max_size=5), min_size=1, max_size=3).map(" ".join),
+    st.text(st.sampled_from("aZ \t\n0%$£¥₩¢€٣²"), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(LABEL_TEXT)
+@example("market share")
+@example(" market share ")
+@example("market  share")
+@example("")
+def test_label_rule_is_the_reference_rule(text):
+    assert validate_target_label(text) == validate_target_label_reference(text)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.lists(
+            st.one_of(
+                st.sampled_from(sorted(extract.BASELINE_KEYWORDS | {"The", "OUR", "a", "an"})),
+                JSON_TEXT,
+            ),
+            max_size=12,
+        ).map(" ".join),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_every_baseline_phrase_passes_the_label_rule(texts):
+    transcript = make_transcript(
+        texts={i: ("Pat Kim - Executives", text) for i, text in enumerate(texts)}
+    )
+    for label in extract_targets_baseline(transcript).labels:
+        assert validate_target_label_reference(label.text) == []

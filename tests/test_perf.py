@@ -10,7 +10,10 @@ and semantic-wide's warm legacy text cache (720 labels at 3,072 dimensions,
 read twice: the first read upgrades every entry, the second reads binary).
 The start-up timings run a child process: ``import movingtargets.cli``, and
 one offline ``report-frequencies`` on the fixture corpus, which imports
-neither numpy nor requests.
+neither numpy nor requests. ``extract --method both`` also runs offline on
+the fixture corpus as a child process, into a new output directory each
+round, so that no round overwrites or follows the deletion of the last
+round's files.
 """
 
 from __future__ import annotations
@@ -164,4 +167,15 @@ def test_report_frequencies_offline(benchmark, run_python, full_corpus, tmp_path
     for command in ("extract", "score"):
         assert CliRunner().invoke(main, [command, *args]).exit_code == 0
     result = benchmark(run_python, "-m", "movingtargets.cli", "report-frequencies", *args)
+    assert result.returncode == 0, result.stderr
+
+
+def test_extract_offline(benchmark, run_python, full_corpus, tmp_path):
+    outs = (tmp_path / f"out-{n}" for n in itertools.count())
+
+    def fresh_out():
+        args = ["--config", str(full_corpus.config_file), "--out-dir", str(next(outs))]
+        return ("-m", "movingtargets.cli", "extract", "--method", "both", *args), {}
+
+    result = benchmark.pedantic(run_python, setup=fresh_out, rounds=5)
     assert result.returncode == 0, result.stderr
