@@ -364,13 +364,19 @@ def _format_optional(value: object) -> str:
     return str(value)
 
 
-def _read_scores_csv(path: Path, directions: dict[str, str]) -> list[score.MovingTargetsScore]:
+def _read_scores_csv(
+    path: Path, directions: dict[str, str]
+) -> dict[str, list[score.MovingTargetsScore]]:
+    """Each method's score records, in file order; a firm-quarter repeated in a method fails."""
+
     from . import score
 
-    def parse(row: dict[str, str], line: int) -> score.MovingTargetsScore:
+    by_method: dict[str, dict[tuple[str, corpus.YearQuarter], score.MovingTargetsScore]] = {}
+
+    def parse(row: dict[str, str], line: int) -> None:
         method = row["method"]
         value = row["value"]
-        return score.MovingTargetsScore(
+        record = score.MovingTargetsScore(
             firm=row["firm"],
             period=corpus.YearQuarter(int(row["year"]), int(row["quarter"])),
             value=corpus.finite_float(value, "value", f"line {line}") if value else None,
@@ -381,8 +387,15 @@ def _read_scores_csv(path: Path, directions: dict[str, str]) -> list[score.Movin
             direction=directions.get(method, score.default_direction(method)),
             skipped_reason=row["skipped_reason"] or None,
         )
+        held = by_method.setdefault(method, {})
+        key = (record.firm, record.period)
+        if key in held:
+            what = f"{record.firm} {record.period} {method}"
+            raise ValueError(f"second row for {what} at {path}:{line}")
+        held[key] = record
 
-    return _read_csv(path, SCORES_CSV_HEADER, "malformed-score-table", parse)
+    _read_csv(path, SCORES_CSV_HEADER, "malformed-score-table", parse)
+    return {method: list(held.values()) for method, held in by_method.items()}
 
 
 def cmd_score(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
@@ -476,23 +489,6 @@ def cmd_score(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
 # backtest
 
 
-def _try_alpha(
-    series: bt.MonthlySeries | None,
-    factors: corpus.FactorSeries,
-    model: str,
-    *,
-    subtract_rf: bool,
-) -> bt.AlphaEstimate | None:
-    from . import backtest as bt
-
-    if series is None:
-        return None
-    try:
-        return bt.factor_alpha(series, factors, model, subtract_rf=subtract_rf)
-    except bt.InsufficientOverlapError:
-        return None
-
-
 def _read_summary_directions(config: RunConfig) -> dict[str, str]:
     path = config.out_dir / "score_summary.json"
     if not path.is_file():
@@ -526,18 +522,17 @@ def cmd_backtest(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
     factors = corpus.load_factors(config.factors_file)
     directions = _read_summary_directions(config)
     records = _read_scores_csv(scores_path, directions)
-    methods = [(e, m) for e, m in methods if any(r.method == m for r in records)]
+    methods = [(e, m) for e, m in methods if m in records]
     if not methods:
         raise CliError("missing-score-table", "score table has no rows for the requested methods")
 
     portfolio_rows: list[list[str]] = []
     fm_results: dict[str, bt.FamaMacbethResult] = {}
-    plot_rows: list[tuple[str, str, float]] = []
+    plot_rows: list[list[str]] = []
     meta: dict[str, dict] = {}
 
     for extraction_method, method in methods:
-        method_records = [r for r in records if r.method == method]
-        assignment_result = bt.build_assignments(method_records)
+        assignment_result = bt.build_assignments(records[method])
         if not assignment_result.assignments:
             raise CliError(
                 "insufficient-history",
@@ -545,52 +540,40 @@ def cmd_backtest(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
             )
         ct = bt.calendar_time_returns(assignment_result.assignments, returns)
 
-        quintile_alphas: dict[int, dict[str, bt.AlphaEstimate | None]] = {}
+        # model -> alphas of Q1..Q5, then of Q5-Q1. A quintile's is None if it
+        # has no months, or fewer than ``bt.MIN_OVERLAP_MONTHS`` with factors.
+        alphas: dict[str, list[bt.AlphaEstimate | None]] = {m: [] for _, m in PORTFOLIO_METRICS}
         for q in range(1, 6):
-            series = ct.series.get(q)
-            quintile_alphas[q] = {
-                model: _try_alpha(series, factors, model, subtract_rf=True)
-                for _, model in PORTFOLIO_METRICS
-            }
-
-        q5 = ct.series.get(5)
-        q1 = ct.series.get(1)
-        if q5 is None or q1 is None:
+            series = ct.series.get(q, bt.MonthlySeries((), ()))
+            for model, row in alphas.items():
+                try:
+                    row.append(bt.factor_alpha(series, factors, model, subtract_rf=True))
+                except bt.InsufficientOverlapError:
+                    row.append(None)
+        if 1 not in ct.series or 5 not in ct.series:
             raise CliError(
                 "insufficient-quintile-coverage",
                 f"{method}: Q1 or Q5 has no calendar-time months",
             )
         try:
-            spread = bt.long_short_spread(q5, q1)
-            spread_alphas = {
-                model: bt.factor_alpha(spread, factors, model, subtract_rf=False)
-                for _, model in PORTFOLIO_METRICS
-            }
+            spread = bt.long_short_spread(ct.series[5], ct.series[1])
+            for model, row in alphas.items():
+                row.append(bt.factor_alpha(spread, factors, model, subtract_rf=False))
         except bt.InsufficientOverlapError as exc:
             raise CliError("insufficient-month-overlap", f"{method}: {exc}") from exc
 
         for metric_name, model in PORTFOLIO_METRICS:
-            estimates = [quintile_alphas[q][model] for q in range(1, 6)]
-            spread_estimate = spread_alphas[model]
-            portfolio_rows.append(
-                [method, metric_name, "value"]
-                + ["" if e is None else f"{e.alpha:.4f}" for e in estimates]
-                + [f"{spread_estimate.alpha:.4f}"]
-            )
-            portfolio_rows.append(
-                [method, metric_name, "t_stat"]
-                + ["" if e is None else f"{e.t_stat:.2f}" for e in estimates]
-                + [f"{spread_estimate.t_stat:.2f}"]
-            )
+            row = alphas[model]
+            for stat, cell in (("value", "{0.alpha:.4f}"), ("t_stat", "{0.t_stat:.2f}")):
+                cells = ["" if e is None else cell.format(e) for e in row]
+                portfolio_rows.append([method, metric_name, stat, *cells])
+            plot_rows.append([extraction_method, metric_name, f"{row[-1].alpha:.4f}"])
 
-        panel = corpus.build_panel(method_records, returns, factors)
+        panel = corpus.build_panel(records[method], returns, factors)
         try:
             fm_results[method] = bt.fama_macbeth(panel.rows)
         except (bt.InsufficientHistoryError, bt.InsufficientOverlapError) as exc:
             raise CliError("insufficient-months", f"{method}: {exc}") from exc
-
-        for metric_name, model in PORTFOLIO_METRICS:
-            plot_rows.append((extraction_method, metric_name, spread_alphas[model].alpha))
 
         meta[method] = {
             "extraction_method": extraction_method,
@@ -598,12 +581,10 @@ def cmd_backtest(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
             "direction_note": DIRECTION_NOTE,
             "spread_convention": SPREAD_CONVENTION,
             "spread_months": len(spread),
-            "quintile_months": {
-                str(q): len(ct.series[q]) if q in ct.series else 0 for q in range(1, 6)
-            },
+            "quintile_months": {str(q): len(ct.series.get(q, ())) for q in range(1, 6)},
             "unassignable_quarters": assignment_result.unassignable,
             "degenerate_spread_t": sorted(
-                metric for metric, model in PORTFOLIO_METRICS if spread_alphas[model].degenerate
+                metric for metric, model in PORTFOLIO_METRICS if alphas[model][-1].degenerate
             ),
             "panel_diagnostics": dict(panel.diagnostics),
             "fama_macbeth_dropped_months": [str(m) for m in fm_results[method].dropped_months],
@@ -629,13 +610,12 @@ def cmd_backtest(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
         config.out_dir / "backtest_fama_macbeth.csv", ["regressor", "stat", *fm_results], fm_rows
     )
 
+    plot_path = config.out_dir / "backtest_plot_data.csv"
     if len(fits) >= 2:
-        fileio.write_csv(
-            config.out_dir / "backtest_plot_data.csv",
-            ["model", "metric", "value"],
-            ([model, metric, f"{value:.4f}"] for model, metric, value in plot_rows),
-        )
+        fileio.write_csv(plot_path, ["model", "metric", "value"], plot_rows)
     else:
+        # A plot left by an earlier run would mix another run's methods in.
+        plot_path.unlink(missing_ok=True)
         click.echo("notice: comparison plot omitted (single method)")
 
     fileio.write_json(config.out_dir / "backtest_meta.json", meta)

@@ -201,18 +201,6 @@ def load_transcript(path: str | Path) -> Transcript:
     return Transcript(firm=firm, period=period, utterances=tuple(utterances))
 
 
-def _place(row: object, rows: Iterable[object], where: Sequence[str] | None) -> str:
-    """`` at <path>:<line>`` of ``row``: the ``where`` of its position in ``rows``.
-
-    "" if ``where`` is None. The rows are sorted stably, so of two rows for
-    one month the later in the file is the one reported as repeated.
-    """
-
-    if where is None:
-        return ""
-    return f" at {where[next(i for i, other in enumerate(rows) if other is row)]}"
-
-
 @dataclass(frozen=True)
 class ReturnRow:
     firm: str
@@ -238,17 +226,19 @@ class ReturnsTable:
     def from_rows(
         cls, rows: Iterable[ReturnRow], where: Sequence[str] | None = None
     ) -> "ReturnsTable":
-        """The table of ``rows``; errors name ``where[i]`` (``path:line``) for ``rows[i]``."""
+        """``rows``, sorted stably; errors name ``where[i]`` (``path:line``) for ``rows[i]``."""
 
-        ordered = tuple(sorted(rows, key=lambda r: (r.firm, r.month)))
+        rows = tuple(rows)
+        order = sorted(range(len(rows)), key=lambda i: (rows[i].firm, rows[i].month.index))
         by_firm: dict[str, tuple[list[int], int]] = {}
-        for position, row in enumerate(ordered):
+        for position, i in enumerate(order):
+            row = rows[i]
             months, _ = by_firm.setdefault(row.firm, ([], position))
             if months and months[-1] == row.month.index:
-                at = _place(row, rows, where)
+                at = "" if where is None else f" at {where[i]}"
                 raise CorpusError(f"duplicate return row for {row.firm} {row.month}{at}")
             months.append(row.month.index)
-        return cls(rows=ordered, _by_firm=by_firm)
+        return cls(rows=tuple(rows[i] for i in order), _by_firm=by_firm)
 
     def ret(self, firm: str, month: int) -> float | None:
         span = self.span(firm, month, month)
@@ -352,29 +342,31 @@ class FactorRow:
 class FactorSeries:
     """Monthly factor returns, one row per month of a contiguous span, in order.
 
-    ``place(row)`` names a row's place in its file for errors (see ``_place``).
+    Errors name ``where[i]``, if given, as the place of ``rows[i]`` in its file.
     """
 
     rows: tuple[FactorRow, ...]
-    place: InitVar[Callable[[FactorRow], str] | None] = None
+    where: InitVar[Sequence[str] | None] = None
 
-    def __post_init__(self, place: Callable[[FactorRow], str] | None) -> None:
-        for prev, cur in zip(self.rows, self.rows[1:]):
+    def __post_init__(self, where: Sequence[str] | None) -> None:
+        for i, (prev, cur) in enumerate(zip(self.rows, self.rows[1:]), 1):
             if cur.month.index == prev.month.index + 1:
                 continue
-            where = place(cur) if place else ""
+            at = "" if where is None else f" at {where[i]}"
             if cur.month == prev.month:
-                raise CorpusError(f"duplicate factor row for {cur.month}{where}")
-            raise CorpusError(f"factor months not contiguous: gap after {prev.month}{where}")
+                raise CorpusError(f"duplicate factor row for {cur.month}{at}")
+            raise CorpusError(f"factor months not contiguous: gap after {prev.month}{at}")
 
     @classmethod
     def from_rows(
         cls, rows: Iterable[FactorRow], where: Sequence[str] | None = None
     ) -> "FactorSeries":
-        """The series of ``rows``; errors name ``where[i]`` (``path:line``) for ``rows[i]``."""
+        """``rows``, sorted stably; errors name ``where[i]`` (``path:line``) for ``rows[i]``."""
 
-        ordered = tuple(sorted(rows, key=lambda r: r.month))
-        return cls(ordered, lambda row: _place(row, rows, where))
+        rows = tuple(rows)
+        order = sorted(range(len(rows)), key=lambda i: rows[i].month.index)
+        places = None if where is None else [where[i] for i in order]
+        return cls(tuple(rows[i] for i in order), places)
 
     def get(self, month: Month) -> FactorRow | None:
         # A month's row sits at the month's offset from the first month.

@@ -22,7 +22,7 @@ from corpusgen import (
 from movingtargets import backtest
 from movingtargets import corpus as mt_corpus
 from movingtargets import extract
-from movingtargets.cli import PORTFOLIO_METRICS, _render_target_set, main
+from movingtargets.cli import PORTFOLIO_METRICS, SCORES_CSV_HEADER, _render_target_set, main
 from movingtargets.embed import EmbeddingCache
 from test_extract import JSON_TEXT
 
@@ -383,11 +383,57 @@ class TestBacktestCommand:
 
     def test_single_method_omits_comparison_plot(self, runner, full_corpus, tmp_path):
         out = tmp_path / "out"
-        run_extract_and_score(runner, full_corpus, out, method="llm")
+        plot = out / "backtest_plot_data.csv"
+        assert run_extract_and_score(runner, full_corpus, out).exit_code == 0
+        assert invoke(runner, full_corpus, "backtest", out_dir=out).exit_code == 0
+        assert plot.exists()
+        # One method requested: the two-method plot of the run before is removed.
         result = invoke(runner, full_corpus, "backtest", "--method", "llm", out_dir=out)
         assert result.exit_code == 0, result.output
         assert "comparison plot omitted" in result.output
-        assert not (out / "backtest_plot_data.csv").exists()
+        assert not plot.exists()
+
+        assert invoke(runner, full_corpus, "backtest", out_dir=out).exit_code == 0
+        assert plot.exists()
+        # Both requested, but one scored: the plot is removed as well.
+        assert run_extract_and_score(runner, full_corpus, out, method="llm").exit_code == 0
+        result = invoke(runner, full_corpus, "backtest", out_dir=out)
+        assert result.exit_code == 0, result.output
+        assert "comparison plot omitted" in result.output
+        assert not plot.exists()
+
+    # Each firm scores its index in every quarter, so CRGO (firm 4) alone is
+    # in Q3; its returns end at ``last_month``, leaving Q3 short of 24 months.
+    @pytest.mark.parametrize("last_month, q3_months", [("2020-12", 9), ("2018-12", 0)])
+    def test_quintile_short_of_factor_months_has_blank_cells(
+        self, full_corpus, tmp_path, last_month, q3_months
+    ):
+        root = tmp_path / "corpus"
+        shutil.copytree(full_corpus.root, root)
+        rewrite_lines(root / "returns.csv", lambda lines: [
+            line for line in lines
+            if not (line.startswith("CRGO,") and line.split(",")[1] > last_month)
+        ])
+        out = tmp_path / "out"
+        out.mkdir()
+        with (out / "scores.csv").open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(SCORES_CSV_HEADER)
+            for i, firm in enumerate(full_corpus.firms):
+                for p in full_corpus.periods:
+                    writer.writerow([firm, p.year, p.quarter, "semantic", 0.65, i, 10, 10, ""])
+        args = ["--config", str(root / "config.yaml"), "--out-dir", str(out)]
+        result = CliRunner().invoke(main, ["backtest", "--method", "llm", *args])
+        assert result.exit_code == 0, result.output
+
+        months = json.loads((out / "backtest_meta.json").read_text())["semantic"]["quintile_months"]
+        assert months["3"] == q3_months
+        assert min(months[q] for q in "1245") >= backtest.MIN_OVERLAP_MONTHS
+        portfolios = read_csv(out / "backtest_portfolios.csv")
+        assert len(portfolios) == 3 * 2
+        for row in portfolios:
+            assert row["Q3"] == ""
+            assert all(row[column] for column in ("Q1", "Q2", "Q4", "Q5", "Q5_Q1"))
 
     def test_missing_returns_file_fails_cleanly(self, runner, full_corpus, tmp_path):
         root = tmp_path / "corpus"
@@ -689,6 +735,17 @@ CORRUPT_INPUTS = {
             set_field("month", "2019-06", liq="0.0424242")(path),
         ],
         "backtest", "malformed-input", "0.0424242",
+    ),
+    # The later of two rows for one firm-quarter and method is named.
+    "scores-repeated-row-names-its-line": (
+        "scores.csv",
+        lambda path: [
+            set_field(
+                "tau", "0.6542424", firm="AAPL", year="2021", quarter="2", method="semantic"
+            )(path),
+            set_field("quarter", "1", tau="0.6542424")(path),
+        ],
+        "backtest", "malformed-score-table", "0.6542424",
     ),
     # The first row after the gap is named.
     "factors-gap-names-its-line": (

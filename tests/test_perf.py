@@ -13,7 +13,8 @@ one offline ``report-frequencies`` on the fixture corpus, which imports
 neither numpy nor requests. ``extract --method both`` also runs offline on
 the fixture corpus as a child process, into a new output directory each
 round, so that no round overwrites or follows the deletion of the last
-round's files.
+round's files. ``backtest --method both`` runs as a child process on the
+fixture corpus's scores, after one ``extract`` and one ``score``.
 """
 
 from __future__ import annotations
@@ -178,4 +179,12 @@ def test_extract_offline(benchmark, run_python, full_corpus, tmp_path):
         return ("-m", "movingtargets.cli", "extract", "--method", "both", *args), {}
 
     result = benchmark.pedantic(run_python, setup=fresh_out, rounds=5)
+    assert result.returncode == 0, result.stderr
+
+
+def test_backtest_offline(benchmark, run_python, full_corpus, tmp_path):
+    args = ["--config", str(full_corpus.config_file), "--out-dir", str(tmp_path / "out")]
+    for command in ("extract", "score"):
+        assert CliRunner().invoke(main, [command, *args]).exit_code == 0
+    result = benchmark(run_python, "-m", "movingtargets.cli", "backtest", "--method", "both", *args)
     assert result.returncode == 0, result.stderr
