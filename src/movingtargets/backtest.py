@@ -23,13 +23,15 @@ import numpy as np
 from .corpus import (
     FactorSeries,
     Month,
+    MovingTargetsScore,
     PanelObservation,
+    PanelTable,
     ReturnsTable,
     YearQuarter,
     holding_windows,
     shift_quarters,
+    window_months,
 )
-from .score import MovingTargetsScore
 
 MODEL_EXCESS = "excess"
 MODEL_FF3 = "ff3"
@@ -65,6 +67,18 @@ class RankDeficiencyError(BacktestError):
     """The regressor matrix is not full column rank."""
 
 
+def _runs(*columns: np.ndarray) -> list[tuple[int, int]]:
+    """(start, end) of each run of rows that agree on every one of ``columns``."""
+
+    if not len(columns[0]):
+        return []
+    change = np.zeros(len(columns[0]) - 1, dtype=bool)
+    for column in columns:
+        change |= column[1:] != column[:-1]
+    cuts = (np.flatnonzero(change) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(columns[0])]))
+
+
 def _degenerate_sd(sd: float, mean: float) -> bool:
     # A constant series accumulates ~1 ulp of rounding in its mean, so the
     # zero-variance rule uses a relative tolerance rather than exact zero.
@@ -81,12 +95,13 @@ class MonthlySeries:
     def __post_init__(self) -> None:
         if len(self.months) != len(self.values):
             raise ValueError("months and values must align")
-        if list(self.months) != sorted(set(self.months)):
+        indices = [month.index for month in self.months]
+        if any(later <= earlier for earlier, later in zip(indices, indices[1:])):
             raise ValueError("months must be unique and sorted")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Month, float]]) -> "MonthlySeries":
-        ordered = sorted(pairs, key=lambda p: p[0])
+        ordered = sorted(pairs, key=lambda p: p[0].index)
         return cls(
             months=tuple(m for m, _ in ordered),
             values=tuple(float(v) for _, v in ordered),
@@ -96,11 +111,18 @@ class MonthlySeries:
         return len(self.months)
 
 
+# The quintile breakpoints as fractions, ``np.percentile``'s ``q / 100``.
+_QUINTILE_POINTS = (20 / 100, 40 / 100, 60 / 100, 80 / 100)
+
+
 def quintile_breakpoints(prior_scores: Sequence[float]) -> tuple[float, float, float, float]:
     """20/40/60/80th percentiles of the pooled prior-score distribution.
 
     Percentiles interpolate linearly between order statistics with
-    inclusive endpoints.
+    inclusive endpoints. Each cut is computed by the operations of
+    ``np.percentile``'s default method, in its order, so it has the same
+    bits; ``np.percentile`` itself would load ``numpy.ma``, which takes
+    longer than all the breakpoints of a backtest.
     """
 
     if len(prior_scores) < MIN_BREAKPOINT_OBSERVATIONS:
@@ -108,8 +130,19 @@ def quintile_breakpoints(prior_scores: Sequence[float]) -> tuple[float, float, f
             f"insufficient history: need at least {MIN_BREAKPOINT_OBSERVATIONS} "
             f"prior scores, got {len(prior_scores)}"
         )
-    cuts = np.percentile(np.asarray(prior_scores, dtype=float), [20, 40, 60, 80])
-    return tuple(float(c) for c in cuts)
+    ordered = sorted(float(v) for v in prior_scores)
+    if any(math.isnan(v) for v in ordered):
+        return (math.nan,) * 4
+    cuts = []
+    for point in _QUINTILE_POINTS:
+        position = (len(ordered) - 1) * point
+        below = math.floor(position)  # below the last order statistic, as point < 1
+        weight = position - below
+        low, high = ordered[below], ordered[below + 1]
+        step = high - low
+        # numpy's lerp: from the nearer end, so that a weight of 1 gives ``high``.
+        cuts.append(high - step * (1 - weight) if weight >= 0.5 else low + step * weight)
+    return tuple(cuts)
 
 
 def assign_quintile(score: float, cutoffs: Sequence[float]) -> int:
@@ -162,7 +195,8 @@ def build_assignments(records: Sequence[MovingTargetsScore]) -> AssignmentResult
     assignments = []
     unassignable = 0
     scored = sorted(
-        (r for r in records if r.value is not None), key=lambda r: (r.firm, r.period)
+        (r for r in records if r.value is not None),
+        key=lambda r: (r.firm, r.period.year, r.period.quarter),
     )
     if not scored:
         return AssignmentResult(assignments=(), unassignable=0)
@@ -208,32 +242,43 @@ def calendar_time_returns(
     A firm contributes at most once per month: when holding windows overlap
     (irregular call timing) its most recent assignment wins. Months where a
     quintile has no members with returns are omitted for that quintile.
+    The holdings are one table of (assignment, month) rows, and each mean
+    sums its members in their firms' order of first appearance.
     """
 
-    # firm -> {month index: quintile}. Firms keep their order of first
-    # appearance, so each month's mean sums its members in that order.
-    held: dict[str, dict[int, int]] = {a.firm: {} for a in assignments}
-    # Most recent (entry_month, period) first; setdefault keeps the first
-    # writer, and the stable sort breaks ties by input order.
-    for a in sorted(assignments, key=lambda a: (a.entry_month, a.period), reverse=True):
-        months = held[a.firm]
-        for month in range(a.entry_month.index, a.exit_month.index + 1):
-            months.setdefault(month, a.quintile)
+    rank: dict[str, int] = {}
+    for a in assignments:
+        rank.setdefault(a.firm, len(rank))
+    table = np.array(
+        [
+            (rank[a.firm], a.quintile, a.entry_month.index, a.exit_month.index,
+             a.period.year * 4 + a.period.quarter)
+            for a in assignments
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 5)
+    firm, quintile, entry, exit_, period = table.T
+    held, month = window_months(entry, exit_)
+    # A firm's month goes to its assignment with the greatest (entry month,
+    # period), and on a tie to the first in input order: the first of its run.
+    order = np.lexsort((held, -period[held], -entry[held], month, firm[held]))
+    held, month = held[order], month[order]
+    first = [start for start, _ in _runs(firm[held], month)]
+    held, month = held[first], month[first]
 
-    pooled: dict[int, dict[int, list[float]]] = {}
-    for firm, months in held.items():
-        for month, quintile in months.items():
-            ret = returns.ret(firm, month)
-            if ret is not None:
-                pooled.setdefault(month, {}).setdefault(quintile, []).append(ret)
+    codes = np.array([returns.code(f) for f in rank], dtype=np.int64)
+    row = returns.locate(codes[firm[held]], month)
+    held, month, row = held[row >= 0], month[row >= 0], row[row >= 0]
+    # The members of each (month, quintile), in firm order.
+    order = np.lexsort((firm[held], quintile[held], month))
+    month, quintile, rets = month[order], quintile[held][order], returns.rets[row[order]].tolist()
 
     per_quintile: dict[int, list[tuple[Month, float]]] = {q: [] for q in range(1, 6)}
     member_counts: dict[tuple[Month, int], int] = {}
-    for index in sorted(pooled):
-        month = Month.from_index(index)
-        for quintile, rets in pooled[index].items():
-            per_quintile[quintile].append((month, sum(rets) / len(rets)))
-            member_counts[(month, quintile)] = len(rets)
+    for start, end in _runs(month, quintile):
+        m, q = Month.from_index(int(month[start])), int(quintile[start])
+        per_quintile[q].append((m, sum(rets[start:end]) / (end - start)))
+        member_counts[(m, q)] = end - start
 
     series = {
         q: MonthlySeries.from_pairs(pairs)
@@ -280,15 +325,17 @@ def ols(y: Sequence[float], X: Sequence[Sequence[float]]) -> OlsFit:
     residuals = y_arr - x_arr @ beta
     rss = float(residuals @ residuals)
     cov = (rss / (n - k)) * np.linalg.inv(x_arr.T @ x_arr)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    # Python floats divide with the bits of float64 scalars.
+    coefficients = tuple(beta.tolist())
+    standard_errors = tuple(np.sqrt(np.maximum(np.diag(cov), 0.0)).tolist())
     t_stats = tuple(
-        float(b / s) if s > 0.0 else 0.0 for b, s in zip(beta, se)
+        b / s if s > 0.0 else 0.0 for b, s in zip(coefficients, standard_errors)
     )
     tss = float(np.sum((y_arr - y_arr.mean()) ** 2))
     r_squared = 0.0 if tss == 0.0 else min(1.0, max(0.0, 1.0 - rss / tss))
     return OlsFit(
-        coefficients=tuple(float(b) for b in beta),
-        standard_errors=tuple(float(s) for s in se),
+        coefficients=coefficients,
+        standard_errors=standard_errors,
         t_stats=t_stats,
         r_squared=r_squared,
         n_obs=n,
@@ -387,7 +434,7 @@ class FamaMacbethResult:
 
 
 def fama_macbeth(
-    panel: Sequence[PanelObservation], *, min_months: int = MIN_OVERLAP_MONTHS
+    panel: PanelTable | Sequence[PanelObservation], *, min_months: int = MIN_OVERLAP_MONTHS
 ) -> FamaMacbethResult:
     """Monthly cross-sectional regressions averaged over time.
 
@@ -395,37 +442,46 @@ def fama_macbeth(
     Log(BM), Ret(-1,0), Ret(-12,-1), and a constant; rows with any missing
     control are excluded. Months with too few rows or a rank-deficient
     cross-section are dropped with a diagnostic; t-stats come from the
-    time series of monthly coefficients.
+    time series of monthly coefficients. A month's rows keep their panel
+    order; ``PanelObservation`` rows are taken as a ``PanelTable`` first.
     """
 
-    by_month: dict[Month, list[PanelObservation]] = {}
-    for row in panel:
-        if row.has_all_controls:
-            by_month.setdefault(row.month, []).append(row)
+    if not isinstance(panel, PanelTable):
+        panel = PanelTable.from_rows(panel)
+    rows = np.flatnonzero(panel.complete)
+    rows = rows[np.argsort(panel.month[rows], kind="stable")]
+    months = panel.month[rows]
+    y_all = panel.ret[rows]
+    X_all = np.column_stack(
+        [
+            panel.score[rows],
+            panel.log_size[rows],
+            panel.log_bm[rows],
+            panel.ret_1_0[rows],
+            panel.ret_12_1[rows],
+            np.ones(len(rows)),
+        ]
+    )
 
     k = len(FM_REGRESSORS)
     coefficient_rows = []
     r_squareds = []
     dropped: list[Month] = []
     n_obs = 0
-    for month in sorted(by_month):
-        rows = by_month[month]
-        if len(rows) <= k:
-            dropped.append(month)
+    for start, end in _runs(months):
+        if end - start <= k:
+            dropped.append(Month.from_index(int(months[start])))
             continue
-        y = [r.ret for r in rows]
-        X = [
-            [r.score, r.log_size, r.log_bm, r.ret_1_0, r.ret_12_1, 1.0]
-            for r in rows
-        ]
         try:
-            fit = ols(y, X)
+            # Copies: each month's regression gets arrays of its own, as it
+            # would from lists.
+            fit = ols(y_all[start:end].copy(), X_all[start:end].copy())
         except RankDeficiencyError:
-            dropped.append(month)
+            dropped.append(Month.from_index(int(months[start])))
             continue
         coefficient_rows.append(fit.coefficients)
         r_squareds.append(fit.r_squared)
-        n_obs += len(rows)
+        n_obs += end - start
 
     if not coefficient_rows:
         raise InsufficientHistoryError("all months dropped from cross-sectional regressions")

@@ -29,8 +29,11 @@ Exit 2: ``invalid-config``. Exit 1: ``missing-transcripts``,
 ``backtest-error`` and ``io-error`` (see ``_ERRORS``).
 
 Each command imports the stages it runs when it runs, so ``extract`` and
-``report-frequencies`` never load numpy, and only the online HTTP clients
-load requests.
+``report-frequencies`` never load numpy, ``backtest`` loads neither the
+extractor nor the encoder, and only the online HTTP clients load requests.
+Before any stage loads numpy, the group sets ``OPENBLAS_NUM_THREADS=1``
+unless the caller set it: no stage runs a product large enough to gain from
+a BLAS thread pool, and starting one costs more than a backtest's numerics.
 """
 
 from __future__ import annotations
@@ -40,37 +43,39 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence, TypeVar
 
 import click
 
-from . import corpus, extract, fileio
+from . import fileio
 from .config import (
     DIRECTION_MISSING,
     DIRECTION_RETENTION,
     ENCODER_API_KEY_ENV,
     EXTRACTOR_API_KEY_ENV,
+    METHOD_BASELINE,
     METHOD_DISCRETE,
+    METHOD_LLM,
     METHOD_SEMANTIC,
     ConfigError,
     RunConfig,
+    default_direction,
     load_config,
 )
 
 if TYPE_CHECKING:
     from . import backtest as bt
-    from . import embed, score
+    from . import corpus, embed, extract, score
 
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
 # (extraction method, scoring method), in the order every command runs them.
 METHODS = (
-    (extract.METHOD_BASELINE, METHOD_DISCRETE),
-    (extract.METHOD_LLM, METHOD_SEMANTIC),
+    (METHOD_BASELINE, METHOD_DISCRETE),
+    (METHOD_LLM, METHOD_SEMANTIC),
 )
 
 SCORES_CSV_HEADER = (
@@ -140,10 +145,15 @@ _READ_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, Overfl
 
 
 def _read_csv(
-    path: Path, header: Sequence[str], code: str, parse: Callable[[dict[str, str], int], T]
-) -> list[T]:
+    path: Path, header: Sequence[str], code: str, visit: Callable[[dict[str, str], int], None]
+) -> None:
+    """``visit(record, line number)`` of each row, as the file streams; no row is kept."""
+
     try:
-        return fileio.read_table(path, header, parse)
+        rows = fileio.read_rows(path, header)
+        next(rows)
+        for line, row in rows:
+            visit(dict(zip(header, row)), line)
     except _READ_ERRORS as exc:
         raise CliError(code, f"{path.name}: {exc}") from exc
 
@@ -195,6 +205,8 @@ def _write_target_set(targets_dir: Path, target_set: extract.TargetSet) -> str:
 
 
 def _parse_target_set(doc: Any) -> extract.TargetSet:
+    from . import corpus, extract
+
     labels = tuple(
         extract.TargetLabel(item["text"], item["section"], int(item["source_index"]))
         for item in doc["labels"]
@@ -215,6 +227,8 @@ def _parse_target_set(doc: Any) -> extract.TargetSet:
 
 
 def _build_extractor_client(config: RunConfig) -> extract.ExtractorClient:
+    from . import extract
+
     settings = config.extractor
     if config.offline:
         if settings.recordings_dir is None:
@@ -237,6 +251,10 @@ def _build_extractor_client(config: RunConfig) -> extract.ExtractorClient:
 
 def cmd_extract(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
     """Extract target sets for every transcript and requested method."""
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import corpus, extract
 
     extraction_methods = [extraction for extraction, _ in methods]
     transcripts_dir = config.transcripts_dir
@@ -268,12 +286,12 @@ def cmd_extract(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
     violations: dict[str, Counter] = {m: Counter() for m in extraction_methods}
     written: set[str] = set()
 
-    if extract.METHOD_BASELINE in extraction_methods:
+    if METHOD_BASELINE in extraction_methods:
         for transcript in transcripts:
             target_set = extract.extract_targets_baseline(transcript)
             written.add(_write_target_set(targets_dir, target_set))
 
-    if extract.METHOD_LLM in extraction_methods:
+    if METHOD_LLM in extraction_methods:
         client = _build_extractor_client(config)
 
         def run(transcript: corpus.Transcript):
@@ -293,7 +311,7 @@ def cmd_extract(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
                     }
                 )
                 continue
-            violations[extract.METHOD_LLM].update(outcome.violations)
+            violations[METHOD_LLM].update(outcome.violations)
             written.add(_write_target_set(targets_dir, outcome.target_set))
 
     # Sets of transcripts that are gone, or failed this time, must not be scored.
@@ -366,17 +384,17 @@ def _format_optional(value: object) -> str:
 
 def _read_scores_csv(
     path: Path, directions: dict[str, str]
-) -> dict[str, list[score.MovingTargetsScore]]:
+) -> dict[str, list[corpus.MovingTargetsScore]]:
     """Each method's score records, in file order; a firm-quarter repeated in a method fails."""
 
-    from . import score
+    from . import corpus
 
-    by_method: dict[str, dict[tuple[str, corpus.YearQuarter], score.MovingTargetsScore]] = {}
+    by_method: dict[str, dict[tuple[str, corpus.YearQuarter], corpus.MovingTargetsScore]] = {}
 
     def parse(row: dict[str, str], line: int) -> None:
         method = row["method"]
         value = row["value"]
-        record = score.MovingTargetsScore(
+        record = corpus.MovingTargetsScore(
             firm=row["firm"],
             period=corpus.YearQuarter(int(row["year"]), int(row["quarter"])),
             value=corpus.finite_float(value, "value", f"line {line}") if value else None,
@@ -384,7 +402,7 @@ def _read_scores_csv(
             tau=float(row["tau"]) if row["tau"] else None,
             n_prev=int(row["n_prev"]) if row["n_prev"] else None,
             n_curr=int(row["n_curr"]) if row["n_curr"] else None,
-            direction=directions.get(method, score.default_direction(method)),
+            direction=directions.get(method, default_direction(method)),
             skipped_reason=row["skipped_reason"] or None,
         )
         held = by_method.setdefault(method, {})
@@ -508,7 +526,7 @@ def cmd_backtest(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
     """Portfolio sorts, factor alphas, and cross-sectional regressions."""
 
     from . import backtest as bt
-    from . import score
+    from . import corpus
 
     if not config.returns_file.is_file():
         raise CliError("missing-returns-data", f"missing returns data: {config.returns_file}")
@@ -571,13 +589,13 @@ def cmd_backtest(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
 
         panel = corpus.build_panel(records[method], returns, factors)
         try:
-            fm_results[method] = bt.fama_macbeth(panel.rows)
+            fm_results[method] = bt.fama_macbeth(panel.table)
         except (bt.InsufficientHistoryError, bt.InsufficientOverlapError) as exc:
             raise CliError("insufficient-months", f"{method}: {exc}") from exc
 
         meta[method] = {
             "extraction_method": extraction_method,
-            "direction": directions.get(method, score.default_direction(method)),
+            "direction": directions.get(method, default_direction(method)),
             "direction_note": DIRECTION_NOTE,
             "spread_convention": SPREAD_CONVENTION,
             "spread_months": len(spread),
@@ -633,7 +651,12 @@ def cmd_backtest(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
 def cmd_report_frequencies(
     config: RunConfig, methods: Sequence[tuple[str, str]], top_k: int
 ) -> None:
-    """Top-K most frequently dropped targets per scoring method."""
+    """Top-K most frequently dropped targets per scoring method.
+
+    Rows are counted as ``score_matches.csv`` streams. Each must sort strictly
+    after the one before it by (firm, year, quarter, method, label), the order
+    ``score`` writes, so a repeated row is an error and is never counted twice.
+    """
 
     if top_k < 1:
         raise ConfigError("top-k must be at least 1")
@@ -643,17 +666,28 @@ def cmd_report_frequencies(
             "missing-match-records", f"missing match records: {matches_path}; run score first"
         )
 
-    def parse(row: dict[str, str], line: int) -> tuple[str, str, str]:
-        if row["retained"] not in ("0", "1"):
-            raise ValueError(f"line {line}: retained must be 0 or 1, got {row['retained']!r}")
-        return row["method"], row["label"], row["retained"]
-
     requested = {method for _, method in methods}
     counts: dict[str, Counter] = {}
-    matches = _read_csv(matches_path, MATCHES_CSV_HEADER, "malformed-match-records", parse)
-    for method, label, retained in matches:
-        if method in requested and retained == "0":
-            counts.setdefault(method, Counter())[label] += 1
+    previous: tuple[str, int, int, str, str] | None = None
+
+    def count(row: dict[str, str], line: int) -> None:
+        nonlocal previous
+        if row["retained"] not in ("0", "1"):
+            raise ValueError(f"line {line}: retained must be 0 or 1, got {row['retained']!r}")
+        try:
+            key = (row["firm"], int(row["year"]), int(row["quarter"]), row["method"], row["label"])
+        except ValueError:
+            raise ValueError(f"line {line}: year and quarter must be whole numbers") from None
+        if previous is not None and key <= previous:
+            raise ValueError(
+                f"line {line}: row does not sort after the row before it by "
+                "firm, year, quarter, method and label (a repeated or out-of-order row)"
+            )
+        previous = key
+        if row["method"] in requested and row["retained"] == "0":
+            counts.setdefault(row["method"], Counter())[row["label"]] += 1
+
+    _read_csv(matches_path, MATCHES_CSV_HEADER, "malformed-match-records", count)
 
     rows: list[list[object]] = []
     for method in sorted(counts):
@@ -723,6 +757,11 @@ offline_option = click.option("--offline", is_flag=True, default=False)
 @click.group()
 def main() -> None:
     """Earnings-call target-drift pipeline."""
+
+    # OpenBLAS reads the variable when numpy loads it, so it is set only while
+    # numpy is not loaded; a value the caller set is kept.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 @main.command("extract")

@@ -14,9 +14,11 @@ from typing import Any, Callable
 
 import yaml
 
-# The values that configure scoring. They live here, beside the settings,
-# so that loading a config does not import the scorer and numpy; ``score``
-# imports them from this module.
+# The values that configure extraction and scoring. They live here, beside
+# the settings, so that loading a config imports neither the extractor nor
+# the scorer and numpy; ``extract`` and ``score`` import them from this module.
+METHOD_LLM = "llm"
+METHOD_BASELINE = "baseline"
 METHOD_SEMANTIC = "semantic"
 METHOD_DISCRETE = "discrete"
 DIRECTION_RETENTION = "retention"
@@ -27,6 +29,12 @@ DEFAULT_TAU = 0.65
 
 EXTRACTOR_API_KEY_ENV = "MOVINGTARGETS_EXTRACTOR_API_KEY"
 ENCODER_API_KEY_ENV = "MOVINGTARGETS_ENCODER_API_KEY"
+
+
+def default_direction(method: str) -> str:
+    """The direction a method reads in as written: semantic retention, discrete missing."""
+
+    return DIRECTION_RETENTION if method == METHOD_SEMANTIC else DIRECTION_MISSING
 
 
 class ConfigError(ValueError):

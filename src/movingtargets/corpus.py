@@ -9,6 +9,11 @@ Responsibilities:
 
 Firms are identified by opaque non-empty strings (typically tickers).
 All loaders are pure given file contents; loaded tables are immutable.
+
+The returns table and the panel are held as columns, with months as integer
+indices; ``ReturnRow`` and ``PanelObservation`` objects are built only at the
+edges. numpy is imported by the code that builds and reads the columns, so
+``extract``, which reads transcripts through this module, never loads it.
 """
 
 from __future__ import annotations
@@ -17,14 +22,15 @@ import json
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import fileio
 
 if TYPE_CHECKING:
-    from .score import MovingTargetsScore
+    import numpy as np
 
 T = TypeVar("T")
 
@@ -78,10 +84,10 @@ class Month:
 
     @classmethod
     def parse(cls, text: str) -> "Month":
-        m = _MONTH_RE.match(text)
-        if m is None or not 1 <= int(m.group(2)) <= 12:
+        index = _month_index(text)
+        if index is None:
             raise CorpusError(f"month must be YYYY-MM, got {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)))
+        return cls.from_index(index)
 
     @classmethod
     def from_index(cls, index: int) -> "Month":
@@ -98,6 +104,15 @@ class Month:
         return f"{self.year:04d}-{self.month:02d}"
 
 
+def _month_index(text: str) -> int | None:
+    """``Month.index`` of ``text`` written as YYYY-MM, or None if it is not."""
+
+    m = _MONTH_RE.match(text)
+    if m is None or not 1 <= int(m.group(2)) <= 12:
+        return None
+    return int(m.group(1)) * 12 + int(m.group(2)) - 1
+
+
 def call_month(period: YearQuarter) -> Month:
     """Month in which the call for ``period`` takes place.
 
@@ -106,6 +121,24 @@ def call_month(period: YearQuarter) -> Month:
     """
 
     return Month(period.year, 3 * period.quarter)
+
+
+@dataclass(frozen=True)
+class MovingTargetsScore:
+    """Score record for one firm-quarter; skipped records carry no value.
+
+    ``score`` writes these, and the backtest reads them back from ``scores.csv``.
+    """
+
+    firm: str
+    period: YearQuarter
+    value: float | None
+    method: str
+    tau: float | None
+    n_prev: int | None
+    n_curr: int | None
+    direction: str
+    skipped_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -210,17 +243,57 @@ class ReturnRow:
     bm: float
 
 
-@dataclass(frozen=True)
 class ReturnsTable:
-    """Monthly firm returns plus size and book-to-market characteristics.
+    """Monthly firm returns plus size and book-to-market characteristics, as columns.
 
-    ``rows`` are sorted by (firm, month). Lookups go through one index per
-    firm: its sorted month indices (``Month.index``) and the position of its
-    first row in ``rows``. ``ret`` and ``span`` take month indices.
+    Rows are sorted by (firm, month). ``firms`` holds the distinct firm ids in
+    order, ``months`` the month indices (``Month.index``) of the rows, and
+    ``rets``, ``mktcaps`` and ``bms`` their float64 values; the arrays are
+    read-only. ``ret``, ``span`` and ``locate`` take month indices, and
+    ``rows`` builds the ``ReturnRow`` objects.
     """
 
-    rows: tuple[ReturnRow, ...]
-    _by_firm: Mapping[str, tuple[list[int], int]] = field(repr=False, compare=False)
+    def __init__(
+        self,
+        firms: Sequence[str],
+        months: Sequence[int],
+        rets: Sequence[float],
+        mktcaps: Sequence[float],
+        bms: Sequence[float],
+        where: Callable[[int], str] | None = None,
+    ) -> None:
+        """Row ``i`` of the columns goes in at its (firm, month), in a stable sort.
+
+        A repeated firm-month is an error naming ``where(i)`` for the later row ``i``.
+        """
+
+        import numpy as np
+
+        self.firms = tuple(sorted(set(firms)))
+        code_of = {firm: code for code, firm in enumerate(self.firms)}
+        codes = np.array([code_of[firm] for firm in firms], dtype=np.int64)
+        month_column = np.array(months, dtype=np.int64)
+        order = np.lexsort((month_column, codes))
+        codes, self.months = codes[order], month_column[order]
+        repeats = np.flatnonzero((codes[1:] == codes[:-1]) & (self.months[1:] == self.months[:-1]))
+        if len(repeats):
+            row = int(repeats[0]) + 1
+            at = "" if where is None else f" at {where(int(order[row]))}"
+            month = Month.from_index(int(self.months[row]))
+            raise CorpusError(f"duplicate return row for {self.firms[codes[row]]} {month}{at}")
+        self.rets, self.mktcaps, self.bms = (
+            np.array(column, dtype=float)[order] for column in (rets, mktcaps, bms)
+        )
+        counts = np.bincount(codes, minlength=len(self.firms)).tolist()
+        self._code = code_of
+        self._starts = [0, *accumulate(counts)]
+        # One sorted key per row, code * stride + month offset; a looked-up month
+        # is clipped to one below or above the table's span, where no row is.
+        self._base = int(self.months.min()) - 1 if len(self.months) else 0
+        self._stride = int(self.months.max()) - self._base + 2 if len(self.months) else 1
+        self._keys = codes * self._stride + (self.months - self._base)
+        for column in (self.months, self.rets, self.mktcaps, self.bms, self._keys):
+            column.flags.writeable = False
 
     @classmethod
     def from_rows(
@@ -229,16 +302,50 @@ class ReturnsTable:
         """``rows``, sorted stably; errors name ``where[i]`` (``path:line``) for ``rows[i]``."""
 
         rows = tuple(rows)
-        order = sorted(range(len(rows)), key=lambda i: (rows[i].firm, rows[i].month.index))
-        by_firm: dict[str, tuple[list[int], int]] = {}
-        for position, i in enumerate(order):
-            row = rows[i]
-            months, _ = by_firm.setdefault(row.firm, ([], position))
-            if months and months[-1] == row.month.index:
-                at = "" if where is None else f" at {where[i]}"
-                raise CorpusError(f"duplicate return row for {row.firm} {row.month}{at}")
-            months.append(row.month.index)
-        return cls(rows=tuple(rows[i] for i in order), _by_firm=by_firm)
+        return cls(
+            [row.firm for row in rows],
+            [row.month.index for row in rows],
+            [row.ret for row in rows],
+            [row.mktcap for row in rows],
+            [row.bm for row in rows],
+            None if where is None else where.__getitem__,
+        )
+
+    @property
+    def rows(self) -> tuple[ReturnRow, ...]:
+        """The rows as objects, sorted by (firm, month)."""
+
+        firms = [
+            firm
+            for code, firm in enumerate(self.firms)
+            for _ in range(self._starts[code], self._starts[code + 1])
+        ]
+        months = map(Month.from_index, self.months.tolist())
+        columns = (self.rets.tolist(), self.mktcaps.tolist(), self.bms.tolist())
+        return tuple(map(ReturnRow, firms, months, *columns))
+
+    def code(self, firm: str) -> int:
+        """The position of ``firm`` in ``firms``, or -1 if it has no rows."""
+
+        return self._code.get(firm, -1)
+
+    def _block(self, firm: str) -> tuple[int, int]:
+        """The first and the end row of ``firm``."""
+
+        code = self._code.get(firm)
+        return (0, 0) if code is None else (self._starts[code], self._starts[code + 1])
+
+    def locate(self, codes: "np.ndarray", months: "np.ndarray") -> "np.ndarray":
+        """The row of each (firm code, month index) pair, or -1 where there is none."""
+
+        import numpy as np
+
+        keys = codes * self._stride + np.clip(months - self._base, 0, self._stride - 1)
+        rows = np.searchsorted(self._keys, keys)
+        found = (codes >= 0) & (rows < len(self._keys))
+        # Keys are compared only where there is a row to compare with.
+        found[found] = self._keys[rows[found]] == keys[found]
+        return np.where(found, rows, -1)
 
     def ret(self, firm: str, month: int) -> float | None:
         span = self.span(firm, month, month)
@@ -250,21 +357,29 @@ class ReturnsTable:
         None unless every month of the span has a row.
         """
 
-        months, offset = self._by_firm.get(firm, ((), 0))
-        start = bisect_left(months, first)
+        lo, hi = self._block(firm)
+        start = bisect_left(self.months, first, lo, hi)
         end = start + last - first
         # The months are distinct and sorted and months[start] >= first, so
         # months[end] == last leaves no room for a gap.
-        if end >= len(months) or months[end] != last:
+        if not lo <= end < hi or self.months[end] != last:
             return None
-        return [row.ret for row in self.rows[offset + start : offset + end + 1]]
+        return self.rets[start : end + 1].tolist()
 
     def latest_at_or_before(self, firm: str, month: Month) -> ReturnRow | None:
         """Most recent row for ``firm`` dated at or before ``month``."""
 
-        months, offset = self._by_firm.get(firm, ((), 0))
-        position = bisect_right(months, month.index)
-        return self.rows[offset + position - 1] if position else None
+        lo, hi = self._block(firm)
+        row = bisect_right(self.months, month.index, lo, hi) - 1
+        if row < lo:
+            return None
+        return ReturnRow(
+            firm,
+            Month.from_index(int(self.months[row])),
+            float(self.rets[row]),
+            float(self.mktcaps[row]),
+            float(self.bms[row]),
+        )
 
 
 def finite_float(value: str, column: str, where: str) -> float:
@@ -307,24 +422,89 @@ def _read_table(
         raise CorpusError(f"cannot read {path}: {exc}") from exc
 
 
+def _floats(texts: Sequence[str]) -> list[float]:
+    """``float`` of each text; NaN for one that does not parse."""
+
+    try:
+        return list(map(float, texts))
+    except ValueError:
+        pass
+
+    def parsed(text: str) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            return math.nan
+
+    return list(map(parsed, texts))
+
+
+def _check_return_row(firm: str, month: str, ret: str, mktcap: str, bm: str, where: str) -> None:
+    """Raise the error of the first check that one returns row fails."""
+
+    if not firm.strip():
+        raise CorpusError(f"empty firm id at {where}")
+    _month_field(month, where)
+    values = (finite_float(v, c, where) for v, c in zip((ret, mktcap, bm), RETURNS_COLUMNS[2:]))
+    ret_value, mktcap_value, bm_value = values
+    if ret_value <= -1.0:
+        raise CorpusError(f"return must exceed -1 at {where}")
+    if mktcap_value <= 0.0:
+        raise CorpusError(f"mktcap must be positive at {where}")
+    if bm_value <= 0.0:
+        raise CorpusError(f"bm must be positive at {where}")
+
+
 def load_returns(path: str | Path) -> ReturnsTable:
-    """Load the returns CSV (``firm,month,ret,mktcap,bm``; month as YYYY-MM)."""
+    """Load the returns CSV (``firm,month,ret,mktcap,bm``; month as YYYY-MM).
 
-    def parse(record: dict[str, str], where: str) -> ReturnRow:
-        firm = record["firm"].strip()
-        if not firm:
-            raise CorpusError(f"empty firm id at {where}")
-        month = _month_field(record["month"], where)
-        ret, mktcap, bm = (finite_float(record[c], c, where) for c in RETURNS_COLUMNS[2:])
-        if ret <= -1.0:
-            raise CorpusError(f"return must exceed -1 at {where}")
-        if mktcap <= 0.0:
-            raise CorpusError(f"mktcap must be positive at {where}")
-        if bm <= 0.0:
-            raise CorpusError(f"bm must be positive at {where}")
-        return ReturnRow(firm=firm, month=month, ret=ret, mktcap=mktcap, bm=bm)
+    The file is read whole and its columns are checked at once. The first row
+    that fails a check, if any, is checked again on its own, so the error is
+    the one a row-by-row read raises; a file that cannot be read to its end
+    fails after the rows before the break are checked.
+    """
 
-    return ReturnsTable.from_rows(*_read_table(Path(path), RETURNS_COLUMNS, parse))
+    import numpy as np
+
+    path = Path(path)
+    lines: list[int] = []
+    rows: list[list[str]] = []
+    failure: Exception | None = None
+    try:
+        reader = fileio.read_rows(path, RETURNS_COLUMNS, extra_columns=True)
+        _, header = next(reader)
+        for line, row in reader:
+            lines.append(line)
+            rows.append(row)
+    except (OSError, ValueError) as exc:
+        failure = exc
+
+    columns: list[Sequence] = [[] for _ in RETURNS_COLUMNS]
+    if rows:
+        # A header naming one column twice gives the last of them, as a
+        # ``dict`` of the row would.
+        position = {name: i for i, name in enumerate(header)}
+        by_position = list(zip(*rows))
+        texts = [by_position[position[column]] for column in RETURNS_COLUMNS]
+        firms = [text.strip() for text in texts[0]]
+        month_of = {text: _month_index(text.strip()) for text in set(texts[1])}
+        months = [month_of[text] for text in texts[1]]
+        ret, mktcap, bm = (np.array(_floats(column)) for column in texts[2:])
+        bad = (
+            np.array([not firm for firm in firms])
+            | np.array([month is None for month in months])
+            | ~(np.isfinite(ret) & np.isfinite(mktcap) & np.isfinite(bm))
+            | (ret <= -1.0)
+            | (mktcap <= 0.0)
+            | (bm <= 0.0)
+        )
+        if bad.any():
+            i = int(bad.argmax())
+            _check_return_row(*(column[i] for column in texts), f"{path}:{lines[i]}")
+        columns = [firms, months, ret, mktcap, bm]
+    if failure is not None:
+        raise CorpusError(f"cannot read {path}: {failure}") from failure
+    return ReturnsTable(*columns, where=lambda i: f"{path}:{lines[i]}")
 
 
 @dataclass(frozen=True)
@@ -408,10 +588,65 @@ class PanelObservation:
         return None not in (self.log_size, self.log_bm, self.ret_1_0, self.ret_12_1)
 
 
+_CONTROLS = ("log_size", "log_bm", "ret_1_0", "ret_12_1")
+
+
+@dataclass(frozen=True, eq=False)
+class PanelTable:
+    """The firm-month panel as columns, one entry per row, in row order.
+
+    ``month`` holds month indices and the other arrays are float64. A control
+    that is absent is NaN in its column, and ``complete`` marks the rows that
+    have all four controls.
+    """
+
+    firm: tuple[str, ...]
+    month: np.ndarray
+    ret: np.ndarray
+    score: np.ndarray
+    log_size: np.ndarray
+    log_bm: np.ndarray
+    ret_1_0: np.ndarray
+    ret_12_1: np.ndarray
+    complete: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[PanelObservation]) -> "PanelTable":
+        import numpy as np
+
+        rows = tuple(rows)
+
+        def column(name: str) -> np.ndarray:
+            values = (getattr(row, name) for row in rows)
+            return np.array([math.nan if v is None else v for v in values], dtype=float)
+
+        return cls(
+            firm=tuple(row.firm for row in rows),
+            month=np.array([row.month.index for row in rows], dtype=np.int64),
+            complete=np.array([row.has_all_controls for row in rows], dtype=bool),
+            **{name: column(name) for name in ("ret", "score", *_CONTROLS)},
+        )
+
+    @property
+    def rows(self) -> tuple[PanelObservation, ...]:
+        controls = (
+            [None if math.isnan(v) else v for v in getattr(self, name).tolist()]
+            for name in _CONTROLS
+        )
+        months = map(Month.from_index, self.month.tolist())
+        return tuple(
+            map(PanelObservation, self.firm, months, self.ret.tolist(), self.score.tolist(), *controls)
+        )
+
+
 @dataclass(frozen=True)
 class PanelBuildResult:
-    rows: tuple[PanelObservation, ...]
+    table: PanelTable
     diagnostics: Mapping[str, int]
+
+    @property
+    def rows(self) -> tuple[PanelObservation, ...]:
+        return self.table.rows
 
 
 def holding_windows(
@@ -429,21 +664,36 @@ def holding_windows(
         calendar.setdefault(firm, set()).add(period)
     windows: dict[tuple[str, YearQuarter], tuple[int, int]] = {}
     for firm, periods in calendar.items():
-        ordered = sorted(periods)
+        ordered = sorted(periods, key=lambda period: (period.year, period.quarter))
         months = [call_month(period).index for period in ordered]
         for period, call, end in zip(ordered, months, months[1:] + [months[-1] + 3]):
             windows[(firm, period)] = (call + 1, end)
     return windows
 
 
+def window_months(entry: "np.ndarray", exit_: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+    """(window, month index) of every month of the windows ``entry[i]..exit_[i]``, in order."""
+
+    import numpy as np
+
+    lengths = exit_ - entry + 1
+    window = np.repeat(np.arange(len(entry)), lengths)
+    offsets = np.arange(len(window)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return window, entry[window] + offsets
+
+
 def compound_return(returns: Sequence[float]) -> float:
-    """Compounded simple return over consecutive months."""
+    """Compounded simple return over consecutive months.
+
+    ``returns`` may also be a (months, n) array: the n products are then taken
+    at once, month by month in order, with the bits of n separate calls.
+    """
 
     return math.prod(1.0 + r for r in returns) - 1.0
 
 
 def build_panel(
-    scores: Sequence["MovingTargetsScore"],
+    scores: Sequence[MovingTargetsScore],
     returns: ReturnsTable,
     factors: FactorSeries | None = None,
 ) -> PanelBuildResult:
@@ -452,50 +702,63 @@ def build_panel(
     ``scores`` may include skipped records (``value is None``); those carry
     no rows of their own but still mark call dates, which delimit the
     holding windows of neighbouring scored quarters. ``factors`` is only
-    consulted to count panel months without factor coverage.
+    consulted to count panel months without factor coverage. The rows are
+    the holding months of the scored records in (firm, period) order, each
+    window oldest first, and each column is looked up in ``returns`` at once.
     """
 
+    import numpy as np
+
     windows = holding_windows((record.firm, record.period) for record in scores)
-    factor_months = None if factors is None else {row.month.index for row in factors.rows}
-    rows: list[PanelObservation] = []
+    scored = sorted(
+        (r for r in scores if r.value is not None),
+        key=lambda r: (r.firm, r.period.year, r.period.quarter),
+    )
+    bounds = np.array([windows[(r.firm, r.period)] for r in scored], dtype=np.int64)
+    record, month = window_months(*bounds.reshape(-1, 2).T)
+    code = np.array([returns.code(r.firm) for r in scored], dtype=np.int64)[record]
+    row = returns.locate(code, month)
+    expected = len(month)
+    without_factors = 0
+    if factors is not None:
+        factor_months = [r.month.index for r in factors.rows]
+        without_factors = int(np.count_nonzero(~np.isin(month, factor_months)))
+
+    # Size and book-to-market as of each record's call month.
+    sized = np.zeros(len(scored), dtype=bool)
+    log_size, log_bm = np.full((2, len(scored)), math.nan)
+    for i, r in enumerate(scored):
+        latest = returns.latest_at_or_before(r.firm, call_month(r.period))
+        if latest is not None:
+            sized[i] = True
+            log_size[i], log_bm[i] = math.log(latest.mktcap), math.log(latest.bm)
+
+    record, month, code, row = (column[row >= 0] for column in (record, month, code, row))
+    previous = returns.locate(code, month - 1)
+    first = returns.locate(code, month - 12)
+    # The months are distinct and sorted per firm, so the twelve before
+    # ``month`` are all there when the first is and the last is 11 rows on.
+    trailing = (first >= 0) & (previous - first == 11)
+    ret_12_1 = np.full(len(row), math.nan)
+    with np.errstate(over="ignore"):  # an overflow is inf, as it is in ``math.prod``
+        ret_12_1[trailing] = compound_return(returns.rets[first[trailing] + np.arange(12)[:, None]])
+    complete = sized[record] & (previous >= 0) & trailing
+    table = PanelTable(
+        firm=tuple(scored[i].firm for i in record.tolist()),
+        month=month,
+        ret=returns.rets[row],
+        score=np.array([r.value for r in scored], dtype=float)[record],
+        log_size=log_size[record],
+        log_bm=log_bm[record],
+        ret_1_0=np.where(previous >= 0, returns.rets[previous], math.nan),
+        ret_12_1=ret_12_1,
+        complete=complete,
+    )
     diagnostics = {
-        "rows_emitted": 0,
-        "rows_skipped_no_return": 0,
-        "rows_missing_controls": 0,
-        "months_without_factors": 0,
-        "expected_rows": 0,
+        "rows_emitted": len(row),
+        "rows_skipped_no_return": expected - len(row),
+        "rows_missing_controls": int(np.count_nonzero(~complete)),
+        "months_without_factors": without_factors,
+        "expected_rows": expected,
     }
-
-    scored = [r for r in scores if r.value is not None]
-    scored.sort(key=lambda r: (r.firm, r.period))
-    for record in scored:
-        entry, exit_ = windows[(record.firm, record.period)]
-        latest = returns.latest_at_or_before(record.firm, call_month(record.period))
-        log_size = None if latest is None else math.log(latest.mktcap)
-        log_bm = None if latest is None else math.log(latest.bm)
-
-        for month in range(entry, exit_ + 1):
-            diagnostics["expected_rows"] += 1
-            ret = returns.ret(record.firm, month)
-            if ret is None:
-                diagnostics["rows_skipped_no_return"] += 1
-            else:
-                trailing = returns.span(record.firm, month - 12, month - 1)
-                row = PanelObservation(
-                    firm=record.firm,
-                    month=Month.from_index(month),
-                    ret=ret,
-                    score=record.value,
-                    log_size=log_size,
-                    log_bm=log_bm,
-                    ret_1_0=returns.ret(record.firm, month - 1),
-                    ret_12_1=None if trailing is None else compound_return(trailing),
-                )
-                if not row.has_all_controls:
-                    diagnostics["rows_missing_controls"] += 1
-                rows.append(row)
-                diagnostics["rows_emitted"] += 1
-            if factor_months is not None and month not in factor_months:
-                diagnostics["months_without_factors"] += 1
-
-    return PanelBuildResult(rows=tuple(rows), diagnostics=diagnostics)
+    return PanelBuildResult(table=table, diagnostics=diagnostics)

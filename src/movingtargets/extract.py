@@ -27,15 +27,13 @@ from json.encoder import encode_basestring
 from typing import Callable, Iterable, Protocol
 
 from . import fileio
+from .config import METHOD_BASELINE, METHOD_LLM
 from .corpus import ROLE_ANALYST, ROLE_OPERATOR, Transcript, YearQuarter
 from .transport import JsonEndpointClient, with_retries
 
 SECTION_PRESENTATION = "presentation"
 SECTION_QA = "analyst_qa"
 SECTIONS = (SECTION_PRESENTATION, SECTION_QA)
-
-METHOD_LLM = "llm"
-METHOD_BASELINE = "baseline"
 
 VIOLATION_DIGIT = "digit"
 VIOLATION_PERCENT = "percent"

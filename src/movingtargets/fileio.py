@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
 import json
 import os
 import threading
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -54,14 +53,10 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]
     replace(path, lambda handle: csv.writer(handle, lineterminator="\n").writerows(lines))
 
 
-def read_table(
-    path: Path,
-    columns: Sequence[str],
-    parse: Callable[[dict[str, str], int], T],
-    *,
-    extra_columns: bool = False,
-) -> list[T]:
-    """``parse(record, line number)`` of every row; blank lines are skipped.
+def read_rows(
+    path: Path, columns: Sequence[str], *, extra_columns: bool = False
+) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of the header, then of every row; blank lines are skipped.
 
     The header is ``columns``, or holds them if ``extra_columns``; each row
     has as many fields as the header. A breach raises ``ValueError``.
@@ -76,16 +71,29 @@ def read_table(
                 raise ValueError(f"missing column {missing[0]!r}")
             if header != list(columns) and not extra_columns:
                 raise ValueError(f"expected header {','.join(columns)}")
-            records = []
+            yield reader.line_num, header
             for row in filter(None, reader):
                 if len(row) != len(header):
                     raise ValueError(
                         f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
                     )
-                records.append(parse(dict(zip(header, row)), reader.line_num))
-            return records
+                yield reader.line_num, row
         except csv.Error as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from exc
+
+
+def read_table(
+    path: Path,
+    columns: Sequence[str],
+    parse: Callable[[dict[str, str], int], T],
+    *,
+    extra_columns: bool = False,
+) -> list[T]:
+    """``parse(record, line number)`` of every row of ``read_rows``."""
+
+    rows = read_rows(path, columns, extra_columns=extra_columns)
+    _, header = next(rows)
+    return [parse(dict(zip(header, row)), line) for line, row in rows]
 
 
 class KeyedFiles:
@@ -100,6 +108,10 @@ class KeyedFiles:
 
     @staticmethod
     def key(model_id: str, text: str) -> str:
+        # Imported here: only the embedding cache makes keys, and the backtest
+        # and the reports need no hash library.
+        import hashlib
+
         return hashlib.sha256(f"{model_id}\n{text}".encode("utf-8")).hexdigest()
 
     def path(self, model_id: str, text: str, suffix: str | None = None) -> Path:

@@ -35,7 +35,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# The scoring vocabulary is declared with the settings, in ``config``.
+# The scoring vocabulary and each method's default direction are declared
+# with the settings, in ``config``. The backtest reads score records too, so
+# ``MovingTargetsScore`` lives in ``corpus``. Both stay importable from here.
 from .config import (
     DEFAULT_TAU,
     DIRECTION_MISSING,
@@ -44,8 +46,9 @@ from .config import (
     EMPTY_CURRENT_ZERO,
     METHOD_DISCRETE,
     METHOD_SEMANTIC,
+    default_direction,
 )
-from .corpus import YearQuarter, shift_quarters
+from .corpus import MovingTargetsScore, YearQuarter, shift_quarters
 from .embed import EmbeddingError, EmbeddingVector, NormError, unit_rows
 from .extract import SECTION_PRESENTATION, SECTION_QA, TargetSet
 
@@ -60,21 +63,6 @@ class UndefinedScoreError(ValueError):
 
 
 @dataclass(frozen=True)
-class MovingTargetsScore:
-    """Score record for one firm-quarter; skipped records carry no value."""
-
-    firm: str
-    period: YearQuarter
-    value: float | None
-    method: str
-    tau: float | None
-    n_prev: int | None
-    n_curr: int | None
-    direction: str
-    skipped_reason: str | None = None
-
-
-@dataclass(frozen=True)
 class CorpusMatch:
     """Best-match outcome of one prior target against the current set."""
 
@@ -84,12 +72,6 @@ class CorpusMatch:
     label: str
     best_similarity: float | None
     retained: bool
-
-
-def default_direction(method: str) -> str:
-    """The direction a method reads in as written: semantic retention, discrete missing."""
-
-    return DIRECTION_RETENTION if method == METHOD_SEMANTIC else DIRECTION_MISSING
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,23 @@ def full_corpus(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def run_python():
-    """Run ``python *args`` as a child process that imports this checkout's package."""
+    """Run ``python *args`` as a child process that imports this checkout's package.
+
+    The child does not inherit this process's ``OPENBLAS_NUM_THREADS``, so it
+    runs with the program's default; ``env`` adds or sets variables.
+    """
 
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    base = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = str(SRC) + (os.pathsep + path if path else "")
 
-    def run(*args: str) -> subprocess.CompletedProcess:
+    def run(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
         return subprocess.run(
-            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, *args],
+            env={**base, **(env or {})},
+            capture_output=True,
+            text=True,
+            timeout=120,
         )
 
     return run

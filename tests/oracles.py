@@ -8,8 +8,12 @@ instead of once per period, the merge reference scans a list of each
 call's normalised texts, the discrete reference takes a set difference of
 them, the regression oracle solves the normal equations explicitly instead
 of using a least-squares routine, the returns-join references scan every
-row and every month instead of using the per-firm month index, and the label
-rule checks every rule on every label, with no shortcut for plain words.
+row and every month instead of using the per-firm month index, the panel
+reference walks each holding window month by month through a dict of
+return rows instead of looking up whole columns, the cross-sectional
+reference groups panel rows by month in a dict instead of sorting a table,
+and the label rule checks every rule on every label, with no shortcut for
+plain words.
 """
 
 from __future__ import annotations
@@ -228,6 +232,82 @@ def calendar_time_returns_loop(assignments, rows):
             member_counts[(month, quintile)] = len(rets)
         month = month.shift(1)
     return per_quintile, member_counts
+
+
+def panel_rows_loop(scores, rows):
+    """``(panel rows, counts)`` of scored records joined to return ``rows``.
+
+    A panel row is ``(firm, month index, ret, score, log_size, log_bm,
+    ret_1_0, ret_12_1)``. Scored records go in (firm, period) order; each
+    holds its firm from the month after its call (the quarter's last month)
+    to the month of the firm's next call on record, or for three months, and
+    every held month with a return is a row. Size and book-to-market come
+    from the firm's latest row at or before the call month.
+    """
+
+    by_key = {(row.firm, row.month.index): row for row in rows}
+    calls: dict = {}
+    for record in scores:
+        period = record.period
+        calls.setdefault(record.firm, set()).add(period.year * 12 + 3 * period.quarter - 1)
+    scored = sorted(
+        (r for r in scores if r.value is not None),
+        key=lambda r: (r.firm, r.period.year, r.period.quarter),
+    )
+    panel = []
+    counts = {"expected_rows": 0, "rows_skipped_no_return": 0, "rows_missing_controls": 0}
+    for record in scored:
+        call = record.period.year * 12 + 3 * record.period.quarter - 1
+        later = [month for month in calls[record.firm] if month > call]
+        end = min(later) if later else call + 3
+        known = [row for row in rows if row.firm == record.firm and row.month.index <= call]
+        latest = max(known, key=lambda row: row.month.index) if known else None
+        for month in range(call + 1, end + 1):
+            counts["expected_rows"] += 1
+            row = by_key.get((record.firm, month))
+            if row is None:
+                counts["rows_skipped_no_return"] += 1
+                continue
+            previous = by_key.get((record.firm, month - 1))
+            trailing = [by_key.get((record.firm, m)) for m in range(month - 12, month)]
+            controls = (
+                None if latest is None else math.log(latest.mktcap),
+                None if latest is None else math.log(latest.bm),
+                None if previous is None else previous.ret,
+                None if None in trailing else math.prod(1.0 + t.ret for t in trailing) - 1.0,
+            )
+            counts["rows_missing_controls"] += None in controls
+            panel.append((record.firm, month, row.ret, record.value, *controls))
+    return panel, counts
+
+
+def monthly_regressions_loop(rows, ols, rank_deficient, k=6):
+    """``(coefficient rows, dropped month indices, n_obs)`` of one regression a month.
+
+    ``rows`` are panel observations; those with every control go to their
+    month in order of appearance, and a month of at most ``k`` rows, or one
+    whose ``ols`` raises ``rank_deficient``, is dropped.
+    """
+
+    by_month: dict = {}
+    for row in rows:
+        if None not in (row.log_size, row.log_bm, row.ret_1_0, row.ret_12_1):
+            by_month.setdefault(row.month.index, []).append(row)
+    coefficients, dropped, n_obs = [], [], 0
+    for month in sorted(by_month):
+        members = by_month[month]
+        if len(members) <= k:
+            dropped.append(month)
+            continue
+        y = [r.ret for r in members]
+        X = [[r.score, r.log_size, r.log_bm, r.ret_1_0, r.ret_12_1, 1.0] for r in members]
+        try:
+            coefficients.append(ols(y, X).coefficients)
+        except rank_deficient:
+            dropped.append(month)
+            continue
+        n_obs += len(members)
+    return coefficients, dropped, n_obs
 
 
 def validate_target_label_reference(text: str) -> list[str]:

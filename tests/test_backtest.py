@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,13 +33,16 @@ from movingtargets.corpus import (
     ReturnRow,
     ReturnsTable,
     YearQuarter,
+    build_panel,
     shift_quarters,
 )
 from movingtargets.score import METHOD_SEMANTIC, MovingTargetsScore
 from oracles import (
     calendar_time_returns_loop,
     latest_at_or_before_scan,
+    monthly_regressions_loop,
     ols_normal_equations,
+    panel_rows_loop,
     quintiles_per_record,
 )
 
@@ -351,6 +355,40 @@ def test_build_assignments_matches_per_record_breakpoints(records):
     assert result.unassignable == unassignable
 
 
+@property_settings
+@given(returns_tables(), score_records())
+def test_panel_matches_month_by_month_join(returns, records):
+    result = build_panel(records, returns)
+    expected, counts = panel_rows_loop(records, returns.rows)
+    assert [
+        (r.firm, r.month.index, r.ret, r.score, r.log_size, r.log_bm, r.ret_1_0, r.ret_12_1)
+        for r in result.rows
+    ] == expected
+    assert {name: result.diagnostics[name] for name in counts} == counts
+    assert result.diagnostics["rows_emitted"] == len(expected)
+
+
+@property_settings
+@given(returns_tables())
+def test_returns_table_round_trips_through_its_rows(returns):
+    again = ReturnsTable.from_rows(reversed(returns.rows))
+    assert again.rows == returns.rows
+    assert again.firms == returns.firms
+
+
+@property_settings
+@given(st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=40))
+def test_quintile_breakpoints_have_the_bits_of_np_percentile(values):
+    expected = np.percentile(np.asarray(values, dtype=float), [20, 40, 60, 80])
+    assert quintile_breakpoints(values) == tuple(expected.tolist())
+
+
+def test_quintile_breakpoints_of_a_pool_with_nan_are_nan():
+    cuts = quintile_breakpoints([0.1, math.nan, 0.3, 0.2, 0.5])
+    assert all(math.isnan(c) for c in cuts)
+    assert np.isnan(np.percentile([0.1, math.nan, 0.3, 0.2, 0.5], [20, 40, 60, 80])).all()
+
+
 class TestOls:
     def test_noiseless_line(self):
         x = np.arange(10, dtype=float)
@@ -601,6 +639,23 @@ class TestFamaMacbeth:
                 if abs(mean - TRUE_COEFFS[name]) <= 3 * se:
                     covered += 1
         assert covered / total >= 0.99
+
+    def test_each_months_rows_are_regressed_in_panel_order(self):
+        rng = np.random.default_rng(61)
+        panel = synthetic_panel(rng, n_months=30, n_firms=9, noise=0.01)
+        # Months interleaved, and some rows without a control, so that some
+        # months keep too few rows to regress.
+        panel = [panel[i] for i in rng.permutation(len(panel))]
+        panel = [
+            dataclasses.replace(row, ret_12_1=None) if rng.uniform() < 0.15 else row
+            for row in panel
+        ]
+        fm = fama_macbeth(panel, min_months=1)
+        coefficients, dropped, n_obs = monthly_regressions_loop(panel, ols, RankDeficiencyError)
+        assert dropped and coefficients
+        assert fm.mean_coefficients == tuple(np.asarray(coefficients).mean(axis=0).tolist())
+        assert [month.index for month in fm.dropped_months] == dropped
+        assert (fm.n_obs, fm.n_months) == (n_obs, len(coefficients))
 
     def test_reports_average_r_squared_and_n(self):
         panel = synthetic_panel(np.random.default_rng(47), n_months=30, n_firms=12, noise=0.01)

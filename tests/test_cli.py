@@ -478,6 +478,17 @@ class TestReportFrequenciesCommand:
             counts = [int(r["count"]) for r in rows if r["method"] == method]
             assert counts == sorted(counts, reverse=True)
 
+    def test_repeated_row_is_an_error_naming_its_line(self, runner, small_corpus, tmp_path):
+        out = tmp_path / "out"
+        run_extract_and_score(runner, small_corpus, out)
+        path = out / "score_matches.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join([*lines, lines[-1]]), encoding="utf-8")
+        result = invoke(runner, small_corpus, "report-frequencies", out_dir=out)
+        assert result.exit_code == 1
+        assert f"malformed-match-records: score_matches.csv: line {len(lines) + 1}: " in result.output
+        assert not (out / "frequencies.csv").exists()
+
     def test_requires_match_records(self, runner, small_corpus, tmp_path):
         result = invoke(runner, small_corpus, "report-frequencies", out_dir=tmp_path / "out")
         assert result.exit_code == 1
@@ -661,6 +672,18 @@ CORRUPT_INPUTS = {
     ),
     "matches-wrong-header": (
         "score_matches.csv", lambda path: rewrite_lines(path, rename_label_column),
+        "report-frequencies", "malformed-match-records",
+    ),
+    # ``score`` writes each row after the one before it, so a repeat would be
+    # counted twice.
+    "matches-repeated-row": (
+        "score_matches.csv",
+        lambda path: rewrite_lines(path, lambda lines: [*lines[:3], lines[2], *lines[3:]]),
+        "report-frequencies", "malformed-match-records",
+    ),
+    "matches-rows-out-of-order": (
+        "score_matches.csv",
+        lambda path: rewrite_lines(path, lambda lines: [lines[0], lines[2], lines[1], *lines[3:]]),
         "report-frequencies", "malformed-match-records",
     ),
     "scores-year-not-a-number": (

@@ -37,6 +37,14 @@ class TestReadTable:
         path.write_text("a,b\n1,2\n\n3,4\n", encoding="utf-8")
         assert records(path, ["a", "b"]) == [(2, {"a": "1", "b": "2"}), (4, {"a": "3", "b": "4"})]
 
+    def test_rows_stream_after_the_header_with_their_line_numbers(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n\n3,4\n5\n", encoding="utf-8")
+        rows = fileio.read_rows(path, ["a", "b"])
+        assert [next(rows), next(rows), next(rows)] == [(1, ["a", "b"]), (2, ["1", "2"]), (4, ["3", "4"])]
+        with pytest.raises(ValueError, match="line 5: expected 2 fields, got 1"):
+            next(rows)
+
     def test_exact_header_unless_extra_columns_are_allowed(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("z,a,b\n0,1,2\n", encoding="utf-8")

@@ -15,11 +15,18 @@ the fixture corpus as a child process, into a new output directory each
 round, so that no round overwrites or follows the deletion of the last
 round's files. ``backtest --method both`` runs as a child process on the
 fixture corpus's scores, after one ``extract`` and one ``score``.
+
+The scaling gate runs the backtest's layers (quintile assignment,
+calendar-time returns, panel assembly and Fama-MacBeth) on in-memory
+records of 500, 1,000 and 5,000 firms over eight quarters, and holds the
+time per firm-quarter at 5,000 firms within 3x of that at 500: a step that
+grows with the square of the firms would read about 10x.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -27,9 +34,9 @@ from click.testing import CliRunner
 
 from corpusgen import write_cache_entry
 
-from movingtargets.backtest import build_assignments
+from movingtargets.backtest import build_assignments, calendar_time_returns, fama_macbeth
 from movingtargets.cli import main
-from movingtargets.corpus import YearQuarter, shift_quarters
+from movingtargets.corpus import ReturnsTable, YearQuarter, build_panel, call_month, shift_quarters
 from movingtargets.embed import EmbeddingCache, EmbeddingVector, embed_labels
 from movingtargets.extract import TargetLabel, TargetSet
 from movingtargets.score import (
@@ -188,3 +195,53 @@ def test_backtest_offline(benchmark, run_python, full_corpus, tmp_path):
         assert CliRunner().invoke(main, [command, *args]).exit_code == 0
     result = benchmark(run_python, "-m", "movingtargets.cli", "backtest", "--method", "both", *args)
     assert result.returncode == 0, result.stderr
+
+
+def scaled_backtest_inputs(n_firms: int, quarters: int = 8):
+    """Score records of ``n_firms`` over ``quarters``, and their returns from a year before."""
+
+    rng = np.random.default_rng(n_firms)
+    firms = [f"F{firm:05d}" for firm in range(n_firms)]
+    records = [
+        MovingTargetsScore(
+            firm=firm,
+            period=shift_quarters(START, quarter),
+            value=float(value),
+            method=METHOD_SEMANTIC,
+            tau=0.65,
+            n_prev=12,
+            n_curr=12,
+            direction="retention",
+        )
+        for firm, values in zip(firms, rng.uniform(size=(n_firms, quarters)))
+        for quarter, value in enumerate(values)
+    ]
+    first = call_month(START).index - 14
+    months = list(range(first, call_month(shift_quarters(START, quarters - 1)).index + 4))
+    returns = ReturnsTable(
+        [firm for firm in firms for _ in months],
+        months * n_firms,
+        rng.normal(0.01, 0.05, n_firms * len(months)),
+        np.exp(rng.normal(8.0, 1.0, n_firms * len(months))),
+        np.exp(rng.normal(-0.5, 0.3, n_firms * len(months))),
+    )
+    return records, returns
+
+
+def backtest_layers(records, returns):
+    assignments = build_assignments(records).assignments
+    calendar_time_returns(assignments, returns)
+    fama_macbeth(build_panel(records, returns).table, min_months=1)
+
+
+def test_backtest_layers_scale_linearly_in_firms():
+    per_firm_quarter = {}
+    for n_firms in (500, 1_000, 5_000):
+        records, returns = scaled_backtest_inputs(n_firms)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            backtest_layers(records, returns)
+            best = min(best, time.perf_counter() - start)
+        per_firm_quarter[n_firms] = best / len(records)
+    assert per_firm_quarter[5_000] <= 3 * per_firm_quarter[500], per_firm_quarter

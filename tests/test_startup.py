@@ -5,8 +5,11 @@ imported every module already. These start each command as its own process,
 as a user does, so they see what the command itself imports: offline
 ``extract`` and ``report-frequencies`` load neither numpy nor requests,
 offline ``score`` and ``backtest`` load numpy only, and online ``extract``
-loads requests only. Online ``score`` runs here too, so a retry goes through
-a real ``requests.Session``.
+loads requests only. ``backtest`` loads neither the extractor, the encoder,
+the HTTP layer nor a thread pool, and ``report-frequencies`` not even the
+corpus module. Each child also reports the ``OPENBLAS_NUM_THREADS`` it ran
+with: 1 unless the caller set another. Online ``score`` runs here too, so a
+retry goes through a real ``requests.Session``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -30,29 +34,54 @@ from movingtargets.embed import EmbeddingCache
 from movingtargets.extract import RecordingStore
 
 HEAVY = ("numpy", "requests")
+# Each loaded only by a command that runs the stage it belongs to.
+STAGES = (
+    "movingtargets.corpus",
+    "movingtargets.extract",
+    "movingtargets.embed",
+    "movingtargets.transport",
+    "concurrent.futures",
+)
 
-# Runs the CLI on ``argv[2:]`` and writes which of HEAVY it loaded to ``argv[1]``.
+# Runs the CLI on ``argv[2:]`` and writes to ``argv[1]`` which modules of
+# HEAVY and STAGES it loaded, and the OPENBLAS_NUM_THREADS it ran with.
 RUNNER = (
-    "import sys\n"
+    "import json, os, sys\n"
     "from movingtargets.cli import main\n"
     "try:\n"
     "    main(sys.argv[2:])\n"
     "finally:\n"
+    f"    loaded = [m for m in {HEAVY + STAGES!r} if m in sys.modules]\n"
+    "    blas_threads = os.environ.get('OPENBLAS_NUM_THREADS')\n"
     "    with open(sys.argv[1], 'w') as handle:\n"
-    f"        handle.write(' '.join(m for m in {HEAVY!r} if m in sys.modules))\n"
+    "        json.dump({'loaded': loaded, 'blas_threads': blas_threads}, handle)\n"
 )
+
+
+@dataclass(frozen=True)
+class Child:
+    """What one command loaded of HEAVY and STAGES, and its OPENBLAS_NUM_THREADS."""
+
+    loaded: frozenset[str]
+    blas_threads: str | None
+
+    @property
+    def heavy(self) -> set[str]:
+        return set(self.loaded) & set(HEAVY)
 
 
 @pytest.fixture(scope="session")
 def run_cli(run_python):
-    def run(tmp_path: Path, config: Path, out: Path, *args: str):
-        """(process, the modules of HEAVY it loaded) of one command."""
+    def run(tmp_path: Path, config: Path, out: Path, *args: str, env=None):
+        """(process, ``Child``) of one command; ``env`` sets variables for it."""
 
-        loaded = tmp_path / "loaded.txt"
+        report = tmp_path / "loaded.json"
         result = run_python(
-            "-c", RUNNER, str(loaded), *args, "--config", str(config), "--out-dir", str(out)
+            "-c", RUNNER, str(report), *args, "--config", str(config), "--out-dir", str(out),
+            env=env,
         )
-        return result, set(loaded.read_text(encoding="utf-8").split())
+        found = json.loads(report.read_text(encoding="utf-8"))
+        return result, Child(frozenset(found["loaded"]), found["blas_threads"])
 
     return run
 
@@ -145,7 +174,44 @@ def test_importing_the_cli_loads_neither_numpy_nor_requests(run_python):
 )
 def test_offline_command_loads_only_what_it_runs(offline_pass, command, expected):
     _, loaded = offline_pass
-    assert loaded[command] == expected
+    assert loaded[command].heavy == expected
+
+
+@pytest.mark.parametrize(
+    "command, absent",
+    [
+        (
+            "backtest",
+            {
+                "movingtargets.extract",
+                "movingtargets.embed",
+                "movingtargets.transport",
+                "concurrent.futures",
+            },
+        ),
+        ("report-frequencies", {"movingtargets.corpus", "movingtargets.extract"}),
+    ],
+)
+def test_command_loads_no_stage_it_does_not_run(offline_pass, command, absent):
+    _, loaded = offline_pass
+    assert not loaded[command].loaded & absent
+
+
+@pytest.mark.parametrize("command", ["score", "backtest"])
+def test_numpy_commands_run_blas_on_one_thread(offline_pass, command):
+    _, loaded = offline_pass
+    assert loaded[command].blas_threads == "1"
+
+
+def test_a_blas_thread_count_the_caller_sets_is_kept(full_corpus, offline_pass, run_cli, tmp_path):
+    pipeline_out, _ = offline_pass
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    result, child = run_cli(
+        tmp_path, full_corpus.config_file, out, "backtest", env={"OPENBLAS_NUM_THREADS": "4"}
+    )
+    assert result.returncode == 0, result.stderr
+    assert child.blas_threads == "4"
 
 
 class ChatStub(BaseHTTPRequestHandler):
@@ -185,7 +251,7 @@ def test_online_extract_loads_requests_but_not_numpy(small_corpus, run_cli, tmp_
         server.server_close()
     assert result.returncode == 0, result.stderr
     assert len(list((out / "targets").glob("*.llm.json"))) == 24
-    assert loaded == {"requests"}
+    assert loaded.heavy == {"requests"}
 
 
 class EmbeddingsStub(BaseHTTPRequestHandler):
@@ -237,7 +303,7 @@ def test_online_score_retries_and_matches_offline(full_corpus, offline_pass, run
         server.shutdown()
         server.server_close()
     assert result.returncode == 0, result.stderr
-    assert loaded == {"numpy", "requests"}
+    assert loaded.heavy == {"numpy", "requests"}
     assert server.statuses[:2] == [503, 200] and set(server.statuses[1:]) == {200}
     for name in ("scores.csv", "score_matches.csv", "score_summary.json"):
         assert (online_out / name).read_bytes() == (offline_out / name).read_bytes(), name
