@@ -30,7 +30,7 @@ Exit 2: ``invalid-config``. Exit 1: ``missing-transcripts``,
 
 Each command imports the stages it runs when it runs, so ``extract`` and
 ``report-frequencies`` never load numpy, ``backtest`` loads neither the
-extractor nor the encoder, and only the online HTTP clients load requests.
+extractor nor the encoder, and only the online HTTP clients load http.client.
 Before any stage loads numpy, the group sets ``OPENBLAS_NUM_THREADS=1``
 unless the caller set it: no stage runs a product large enough to gain from
 a BLAS thread pool, and starting one costs more than a backtest's numerics.

@@ -12,8 +12,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
-import yaml
-
 # The values that configure extraction and scoring. They live here, beside
 # the settings, so that loading a config imports neither the extractor nor
 # the scorer and numpy; ``extract`` and ``score`` import them from this module.
@@ -195,6 +193,10 @@ def _load(cls: type, doc: dict, base: Path, section: str | None = None) -> Any:
 
 def load_config(path: str | Path) -> RunConfig:
     """Load and validate a YAML run configuration."""
+
+    # Imported here, so that importing this module, as ``transport`` does for
+    # ``ConfigError``, needs no third-party package.
+    import yaml
 
     path = Path(path)
     try:

@@ -10,7 +10,7 @@ and semantic-wide's warm legacy text cache (720 labels at 3,072 dimensions,
 read twice: the first read upgrades every entry, the second reads binary).
 The start-up timings run a child process: ``import movingtargets.cli``, and
 one offline ``report-frequencies`` on the fixture corpus, which imports
-neither numpy nor requests. ``extract --method both`` also runs offline on
+neither numpy nor ``http.client``. ``extract --method both`` also runs offline on
 the fixture corpus as a child process, into a new output directory each
 round, so that no round overwrites or follows the deletion of the last
 round's files. ``backtest --method both`` runs as a child process on the

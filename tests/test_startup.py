@@ -3,13 +3,14 @@
 The other CLI tests run the commands in the pytest process, which has
 imported every module already. These start each command as its own process,
 as a user does, so they see what the command itself imports: offline
-``extract`` and ``report-frequencies`` load neither numpy nor requests,
-offline ``score`` and ``backtest`` load numpy only, and online ``extract``
-loads requests only. ``backtest`` loads neither the extractor, the encoder,
-the HTTP layer nor a thread pool, and ``report-frequencies`` not even the
-corpus module. Each child also reports the ``OPENBLAS_NUM_THREADS`` it ran
-with: 1 unless the caller set another. Online ``score`` runs here too, so a
-retry goes through a real ``requests.Session``.
+``extract`` and ``report-frequencies`` load neither numpy nor
+``http.client``, offline ``score`` and ``backtest`` load numpy only, online
+``extract`` loads ``http.client`` (and with it ``ssl``) only, and no command
+loads requests. ``backtest`` loads neither the extractor, the encoder, the
+HTTP layer nor a thread pool, and ``report-frequencies`` not even the corpus
+module. Each child also reports the ``OPENBLAS_NUM_THREADS`` it ran with: 1
+unless the caller set another. Online ``score`` runs here too, so a retry
+goes through the program's own HTTP session.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from corpusgen import cache_entry_vector, float_reprs, write_cache_entry
 from movingtargets.embed import EmbeddingCache
 from movingtargets.extract import RecordingStore
 
-HEAVY = ("numpy", "requests")
+HEAVY = ("numpy", "requests", "http.client", "ssl")
 # Each loaded only by a command that runs the stage it belongs to.
 STAGES = (
     "movingtargets.corpus",
@@ -123,9 +124,25 @@ def imported_modules(node):
     return set()
 
 
-def test_only_the_transport_imports_requests():
-    importers = {name for name, node in package_nodes() if "requests" in imported_modules(node)}
-    assert importers == {"transport.py"}
+def importers_of(module):
+    """The package's files with an import statement of ``module`` or of a submodule of it."""
+
+    importers = set()
+    for name, node in package_nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if any(n == module or n.startswith(f"{module}.") for n in names):
+            importers.add(name)
+    return importers
+
+
+def test_only_the_transport_imports_http_client():
+    assert importers_of("requests") == set()
+    assert importers_of("http.client") == {"transport.py"}
 
 
 # What replaces a file or reads or writes CSV: only the file layer does.
@@ -231,7 +248,7 @@ class ChatStub(BaseHTTPRequestHandler):
         pass
 
 
-def test_online_extract_loads_requests_but_not_numpy(small_corpus, run_cli, tmp_path):
+def test_online_extract_loads_http_client_but_not_numpy(small_corpus, run_cli, tmp_path):
     server = ThreadingHTTPServer(("127.0.0.1", 0), ChatStub)
     server.store = RecordingStore(small_corpus.recordings_dir)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -251,7 +268,7 @@ def test_online_extract_loads_requests_but_not_numpy(small_corpus, run_cli, tmp_
         server.server_close()
     assert result.returncode == 0, result.stderr
     assert len(list((out / "targets").glob("*.llm.json"))) == 24
-    assert loaded.heavy == {"requests"}
+    assert loaded.heavy == {"http.client", "ssl"}
 
 
 class EmbeddingsStub(BaseHTTPRequestHandler):
@@ -303,7 +320,7 @@ def test_online_score_retries_and_matches_offline(full_corpus, offline_pass, run
         server.shutdown()
         server.server_close()
     assert result.returncode == 0, result.stderr
-    assert loaded.heavy == {"numpy", "requests"}
+    assert loaded.heavy == {"numpy", "http.client", "ssl"}
     assert server.statuses[:2] == [503, 200] and set(server.statuses[1:]) == {200}
     for name in ("scores.csv", "score_matches.csv", "score_summary.json"):
         assert (online_out / name).read_bytes() == (offline_out / name).read_bytes(), name
