@@ -264,6 +264,8 @@ def cmd_extract(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
     if not files:
         raise CliError("missing-transcripts", f"no transcript files in {transcripts_dir}")
 
+    # A configuration error of the extractor ends the run before anything is written.
+    client = _build_extractor_client(config) if METHOD_LLM in extraction_methods else None
     targets_dir = _targets_dir(config)
     targets_dir.mkdir(parents=True, exist_ok=True)
 
@@ -291,8 +293,7 @@ def cmd_extract(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
             target_set = extract.extract_targets_baseline(transcript)
             written.add(_write_target_set(targets_dir, target_set))
 
-    if METHOD_LLM in extraction_methods:
-        client = _build_extractor_client(config)
+    if client is not None:
 
         def run(transcript: corpus.Transcript):
             try:

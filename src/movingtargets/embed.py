@@ -1,8 +1,8 @@
 """Label embeddings: encoder clients, a file cache and the one vector check.
 
 Vectors are stored exactly as delivered (no pre-normalization). Each one is
-held as a read-only float64 row, from the cache or the encoder into
-``unit_rows``, the only rule for a usable vector: one dimension per model
+held as a read-only float64 row, from the cache, or from the encoder's reply
+as it is parsed, into ``unit_rows``, the only rule for a usable vector: one dimension per model
 and a finite, non-zero row norm. ``embed_labels`` runs it on every fresh
 encoder batch before anything is cached, and ``score`` runs it on the
 stacked vocabulary of one model, whose rows it scales to unit norm once.
@@ -204,14 +204,40 @@ class HttpEncoderClient(JsonEndpointClient):
             vectors = []
             for item in items:
                 values = item["embedding"]
-                # JSON numbers only: float() would also take "0.5" and true.
-                if not set(map(type, values)) <= {int, float}:
+                # A row was made by _embedding_row from JSON numbers only.
+                if not isinstance(values, np.ndarray) and not _numbers(values):
                     raise ValueError(f"vector {item['index']} has a component that is not a number")
                 # An integer beyond float64 raises OverflowError here.
                 vectors.append(EmbeddingVector(values, self.model_id))
             return vectors
 
-        return with_retries(lambda: self.post(payload, read), EncoderTransportError)
+        return with_retries(
+            lambda: self.post(payload, read, object_hook=_embedding_row), EncoderTransportError
+        )
+
+
+def _numbers(values: Any) -> bool:
+    # JSON numbers only: float() would also take "0.5" and true.
+    return set(map(type, values)) <= {int, float}
+
+
+def _embedding_row(obj: dict[str, Any]) -> dict[str, Any]:
+    """``obj`` with an ``"embedding"`` list of JSON numbers made a read-only float64 row.
+
+    The row is the one ``EmbeddingVector`` would build from the list, so each
+    vector is held as a row while the rest of the reply is parsed, not as one
+    Python float per component. Any other value is left for ``read`` to check.
+    """
+
+    values = obj.get("embedding")
+    if type(values) is list and _numbers(values):
+        try:
+            row = np.array(values, dtype=np.float64)
+        except OverflowError:  # an integer beyond float64
+            return obj
+        row.flags.writeable = False
+        obj["embedding"] = row
+    return obj
 
 
 def _chunks(items: Sequence[str], size: int) -> Iterable[Sequence[str]]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from json.encoder import encode_basestring
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Protocol
 
 from . import fileio
 from .config import METHOD_BASELINE, METHOD_LLM
@@ -134,25 +134,6 @@ def normalize_label(text: str) -> str:
     return " ".join(text.split()).casefold()
 
 
-def normalize_and_dedupe(labels: Iterable[TargetLabel]) -> list[TargetLabel]:
-    """Normalize label texts and drop per-section exact duplicates.
-
-    The first occurrence wins; the same normalized text may appear in both
-    sections since deduplication is per section.
-    """
-
-    seen: set[tuple[str, str]] = set()
-    result = []
-    for label in labels:
-        normalized = normalize_label(label.text)
-        key = (label.section, normalized)
-        if key in seen:
-            continue
-        seen.add(key)
-        result.append(TargetLabel(normalized, label.section, label.source_index))
-    return result
-
-
 @lru_cache(maxsize=1)
 def _prompt_template() -> str:
     template = (
@@ -226,16 +207,20 @@ def parse_extraction_response(
             raise ResponseFormatError(f"top-level key {section!r} must be a list")
 
     violations: Counter = Counter()
-    kept: list[TargetLabel] = []
+    labels: list[TargetLabel] = []
     for section in SECTIONS:
+        seen: set[str] = set()
         for item in doc[section]:
             target, index, item_violations = _check_item(item, transcript_len)
             if item_violations:
                 violations.update(item_violations)
                 continue
-            kept.append(TargetLabel(target, section, index))
+            # Normalized, and kept where it first occurs in its section.
+            text = normalize_label(target)
+            if text not in seen:
+                seen.add(text)
+                labels.append(TargetLabel(text, section, index))
 
-    labels = normalize_and_dedupe(kept)
     target_set = TargetSet(firm=firm, period=period, labels=tuple(labels), method=method)
     return ParsedExtraction(target_set=target_set, violations=violations)
 
@@ -478,7 +463,8 @@ def extract_targets_baseline(transcript: Transcript) -> TargetSet:
     """Harvest keyword-style targets with a shallow, context-free scan."""
 
     qa_start = qa_start_index(transcript)
-    harvested: list[TargetLabel] = []
+    labels: list[TargetLabel] = []
+    seen: dict[str, set[str]] = {section: set() for section in SECTIONS}
     for utterance in transcript.utterances:
         if qa_start is not None and utterance.index >= qa_start:
             section = SECTION_QA
@@ -488,14 +474,16 @@ def extract_targets_baseline(transcript: Transcript) -> TargetSet:
         for i, word in enumerate(words):
             if word not in BASELINE_KEYWORDS:
                 continue
-            # One or two [a-z]+ words joined by a space: a valid label.
+            # One or two [a-z]+ words joined by a space: a valid label, and
+            # already normalized. Each is kept where it first occurs in its section.
             if i > 0 and words[i - 1] in _DETERMINERS:
                 phrase = f"{words[i - 1]} {word}"
             else:
                 phrase = word
-            harvested.append(TargetLabel(phrase, section, utterance.index))
+            if phrase not in seen[section]:
+                seen[section].add(phrase)
+                labels.append(TargetLabel(phrase, section, utterance.index))
 
-    labels = normalize_and_dedupe(harvested)
     return TargetSet(
         firm=transcript.firm,
         period=transcript.period,

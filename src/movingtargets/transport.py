@@ -8,13 +8,15 @@ error's ``retry_after``.
 
 ``KeepAliveSession`` speaks HTTP/1.1 through the standard library, over one
 keep-alive connection per thread. ``http.client``, ``urllib.request`` and
-``ssl`` are imported only when a client is built.
+``ssl`` are imported only when a client is built. A 200 body is decoded into
+text once, as ``json.loads`` decodes bytes, and dropped before the parse, so
+a reply is never held as bytes, text and parsed values at once.
 """
 
 from __future__ import annotations
 
 import time
-from json import dumps, loads
+from json import detect_encoding, dumps, loads
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from .config import ConfigError
@@ -66,8 +68,17 @@ class JsonEndpointClient:
                 raise ConfigError(f"the {self.role} API key is not printable ASCII")
             self.headers["Authorization"] = f"Bearer {api_key}"
 
-    def post(self, payload: dict[str, Any], read: Callable[[Any], T]) -> T:
-        """One POST; ``read`` takes the decoded JSON body of a 200 reply."""
+    def post(
+        self,
+        payload: dict[str, Any],
+        read: Callable[[Any], T],
+        object_hook: Callable[[dict[str, Any]], Any] | None = None,
+    ) -> T:
+        """One POST; ``read`` takes the JSON body of a 200 reply.
+
+        ``object_hook`` is ``json.loads``'s: each JSON object of the body is
+        passed to it as it is parsed, and replaced by what it returns.
+        """
 
         import http.client
 
@@ -87,13 +98,16 @@ class JsonEndpointClient:
                 f"{self.role} endpoint returned {response.status_code}: {response.text[:200]}"
             )
         try:
-            return read(response.json())
+            return read(response.json(object_hook=object_hook))
         except (ValueError, KeyError, IndexError, TypeError, OverflowError, RecursionError) as exc:
             raise self.final_error(f"unexpected {self.payload_kind} payload: {exc}") from exc
 
 
 class Response:
-    """A reply as ``JsonEndpointClient.post`` reads it: status, headers and body."""
+    """A reply as ``JsonEndpointClient.post`` reads it: status, headers and body.
+
+    ``json`` parses the body once: it drops ``content`` before the parse.
+    """
 
     def __init__(self, status_code: int, headers: Message, content: bytes) -> None:
         self.status_code = status_code
@@ -104,8 +118,12 @@ class Response:
     def text(self) -> str:
         return self.content.decode("utf-8", errors="replace")
 
-    def json(self) -> Any:
-        return loads(self.content)
+    def json(self, object_hook: Callable[[dict[str, Any]], Any] | None = None) -> Any:
+        # Decoded as json.loads decodes bytes; the bytes go before the parse begins.
+        content, self.content = self.content, b""
+        text = content.decode(detect_encoding(content), "surrogatepass")
+        del content
+        return loads(text, object_hook=object_hook)
 
 
 class KeepAliveSession:

@@ -12,8 +12,9 @@ row and every month instead of using the per-firm month index, the panel
 reference walks each holding window month by month through a dict of
 return rows instead of looking up whole columns, the cross-sectional
 reference groups panel rows by month in a dict instead of sorting a table,
-and the label rule checks every rule on every label, with no shortcut for
-plain words.
+the label rule checks every rule on every label, with no shortcut for
+plain words, and the extractors' label references harvest every label first
+and only then normalise and deduplicate the whole list.
 """
 
 from __future__ import annotations
@@ -323,3 +324,48 @@ def validate_target_label_reference(text: str) -> list[str]:
     if any(ch in "$€£¥₩¢" for ch in text):
         violations.append("currency")
     return violations
+
+
+def normalize_and_dedupe(labels):
+    """Normalize label texts and drop per-section exact duplicates.
+
+    The first occurrence wins; the same normalized text may appear in both
+    sections since deduplication is per section.
+    """
+
+    from movingtargets.extract import TargetLabel, normalize_label
+
+    seen: set[tuple[str, str]] = set()
+    result = []
+    for label in labels:
+        normalized = normalize_label(label.text)
+        key = (label.section, normalized)
+        if key in seen:
+            continue
+        seen.add(key)
+        result.append(TargetLabel(normalized, label.section, label.source_index))
+    return result
+
+
+def baseline_harvest_reference(transcript):
+    """Every keyword phrase of the baseline scan, in order, repeats included."""
+
+    from movingtargets.extract import (
+        _DETERMINERS,
+        _WORD_RE,
+        BASELINE_KEYWORDS,
+        TargetLabel,
+        qa_start_index,
+    )
+
+    qa_start = qa_start_index(transcript)
+    harvested = []
+    for utterance in transcript.utterances:
+        in_qa = qa_start is not None and utterance.index >= qa_start
+        section = "analyst_qa" if in_qa else "presentation"
+        words = _WORD_RE.findall(utterance.text.lower())
+        for i, word in enumerate(words):
+            if word in BASELINE_KEYWORDS:
+                phrase = f"{words[i - 1]} {word}" if i and words[i - 1] in _DETERMINERS else word
+                harvested.append(TargetLabel(phrase, section, utterance.index))
+    return harvested

@@ -7,6 +7,7 @@ import shutil
 import struct
 
 import pytest
+import yaml
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,16 @@ def invoke(runner, corpus, *args, out_dir):
 def read_csv(path):
     with path.open(newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
+
+
+def written_files(root):
+    """Each file under ``root``: its bytes, and the inode and mtime a rewrite would change."""
+
+    return {
+        path: (path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns)
+        for path in root.rglob("*")
+        if path.is_file()
+    }
 
 
 # One of the small corpus's 3 x 8 transcripts fails.
@@ -227,6 +238,25 @@ class TestExtractCommand:
         assert counts == [25, 24, 24]
         name = "AAPL_2019Q1.baseline.json"
         assert (out / "targets" / name).read_bytes() == (clean / "targets" / name).read_bytes()
+
+    def test_an_extractor_config_error_writes_nothing(self, runner, small_corpus, tmp_path):
+        root = tmp_path / "corpus"
+        shutil.copytree(small_corpus.root, root)
+        out = tmp_path / "out"
+        config = ["--config", str(root / "config.yaml"), "--out-dir", str(out)]
+        assert runner.invoke(main, ["extract", "--method", "both", *config]).exit_code == 0
+        before = written_files(out)
+        (root / "transcripts" / "AAPL_2019Q1.json").unlink()
+        doc = yaml.safe_load((root / "config.yaml").read_text(encoding="utf-8"))
+        doc["offline"] = False
+        doc["extractor"]["endpoint"] = "ftp://x"
+        (root / "config.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
+        result = runner.invoke(main, ["extract", "--method", "both", *config])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            "error: invalid-config: endpoint must be an http(s)://host URL, got 'ftp://x'"
+        ]
+        assert written_files(out) == before
 
     def test_rerun_removes_sets_of_vanished_transcripts(self, runner, small_corpus, tmp_path):
         root = tmp_path / "corpus"

@@ -27,7 +27,6 @@ from movingtargets.extract import (
     extract_targets_baseline,
     extract_targets_llm,
     merged_texts,
-    normalize_and_dedupe,
     parse_extraction_response,
     qa_start_index,
     serialize_dialog,
@@ -35,7 +34,12 @@ from movingtargets.extract import (
     validate_target_label,
 )
 
-from oracles import merged_texts_reference, validate_target_label_reference
+from oracles import (
+    baseline_harvest_reference,
+    merged_texts_reference,
+    normalize_and_dedupe,
+    validate_target_label_reference,
+)
 from test_transport import StubResponse, StubSession
 
 GOLDEN = Path(__file__).parent / "data" / "prompt_golden.txt"
@@ -642,3 +646,66 @@ def test_every_baseline_phrase_passes_the_label_rule(texts):
     )
     for label in extract_targets_baseline(transcript).labels:
         assert validate_target_label_reference(label.text) == []
+
+
+def labels_kept_reference(doc, transcript_len):
+    """The valid items of a response, in order, as labels before normalization."""
+
+    kept = []
+    for section in ("presentation", "analyst_qa"):
+        for item in doc[section]:
+            target, index = item["target"], item["index"]
+            try:
+                target.encode("utf-8")
+            except UnicodeEncodeError:
+                continue
+            if not validate_target_label_reference(target) and 0 <= index < transcript_len:
+                kept.append(TargetLabel(target, section, index))
+    return kept
+
+
+POOL = ("gross margin", "free cash flow", "revenue", "straße", "capex")
+ITEM_TARGETS = st.sampled_from(POOL).flatmap(spelling_variants) | LABEL_TEXT
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.fixed_dictionaries(
+        {
+            section: st.lists(
+                st.fixed_dictionaries({"target": ITEM_TARGETS, "index": st.integers(-1, 5)}),
+                max_size=10,
+            )
+            for section in ("presentation", "analyst_qa")
+        }
+    )
+)
+def test_parser_labels_are_the_reference_dedupe(doc):
+    parsed = parse_extraction_response(
+        json.dumps(doc), 5, firm="AAPL", period=YearQuarter(2020, 1)
+    )
+    expected = normalize_and_dedupe(labels_kept_reference(doc, 5))
+    assert parsed.target_set.labels == tuple(expected)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["Pat Kim - Executives", "Amy Noor - Analysts", "Operator"]),
+            st.lists(
+                st.sampled_from(
+                    sorted(extract.BASELINE_KEYWORDS | {"The", "OUR", "a", "an", "Revenue"})
+                )
+                | JSON_TEXT,
+                max_size=12,
+            ).map(" ".join),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_baseline_labels_are_the_reference_dedupe(utterances):
+    transcript = make_transcript(texts=dict(enumerate(utterances)))
+    expected = normalize_and_dedupe(baseline_harvest_reference(transcript))
+    assert extract_targets_baseline(transcript).labels == tuple(expected)

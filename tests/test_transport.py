@@ -1,7 +1,8 @@
 """The HTTP transport both endpoint clients share, run through each client.
 
 The retry policy runs against a stand-in session; the standard-library
-session runs against local servers and a local fake proxy.
+session runs against local servers and a local fake proxy, and so does the
+encoder's parse of its replies.
 """
 
 from __future__ import annotations
@@ -11,15 +12,19 @@ import http.client
 import json
 import os
 import threading
+import tracemalloc
 from base64 import b64encode
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movingtargets import transport
 from movingtargets.cli import main
@@ -40,10 +45,11 @@ class StubResponse:
         self.text = text
         self.headers = headers or {}
 
-    def json(self):
+    def json(self, object_hook=None):
         if self._payload is None:
             raise ValueError("no json body")
-        return self._payload
+        # Through the decoder, so an object_hook sees every object as the client's would.
+        return json.loads(json.dumps(self._payload), object_hook=object_hook)
 
 
 class StubSession:
@@ -239,7 +245,10 @@ class Request:
 
 
 class Recorder(BaseHTTPRequestHandler):
-    """Records each request and answers a POST with ``server.answer(payload)``."""
+    """Records each request and answers a POST with ``server.answer(payload)``.
+
+    The answer's document is sent as JSON, or as it is if it is bytes.
+    """
 
     protocol_version = "HTTP/1.1"
 
@@ -249,7 +258,7 @@ class Recorder(BaseHTTPRequestHandler):
             Request(self.client_address, self.requestline, dict(self.headers), body)
         )
         status, doc = self.server.answer(json.loads(body))
-        self.reply(status, json.dumps(doc).encode("utf-8"))
+        self.reply(status, doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
         # Closed with no "Connection: close": the client learns of it only while idle.
         self.close_connection = self.server.close_after_reply
 
@@ -323,13 +332,17 @@ def wait_for(condition) -> None:
     assert condition()
 
 
+def clear_proxies(monkeypatch) -> None:
+    for name in list(os.environ):
+        if name.lower() in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name)
+
+
 @pytest.fixture()
 def proxy_env(monkeypatch):
     """No proxy variable of the caller's; the test sets its own."""
 
-    for name in list(os.environ):
-        if name.lower() in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
-            monkeypatch.delenv(name)
+    clear_proxies(monkeypatch)
     return monkeypatch
 
 
@@ -472,3 +485,102 @@ def test_online_extract_with_no_http_endpoint_exits_two(small_corpus, tmp_path, 
     assert result.output.splitlines() == [
         f"error: invalid-config: endpoint must be an http(s)://host URL, got {url!r}"
     ]
+
+
+# ---------------------------------------------------------------------------
+# The encoder's replies, parsed through the standard-library session
+
+
+class Replies:
+    """Answers every POST with ``body``: bytes, sent as they are."""
+
+    body = b""
+
+    def __call__(self, payload):
+        return 200, self.body
+
+
+@pytest.fixture(scope="module")
+def encoder():
+    """An encoder client of a local endpoint, and the ``Replies`` it gets."""
+
+    replies = Replies()
+    with pytest.MonkeyPatch.context() as env, serving(replies) as server:
+        clear_proxies(env)
+        client = HttpEncoderClient(server.url, "enc-model")
+        yield client, replies
+        client.session.close()
+
+
+def embeddings_body(vectors, index=None) -> bytes:
+    """An embeddings reply for ``vectors``, the last first, each at its own index
+    unless ``index`` gives them."""
+
+    index = index or list(range(len(vectors)))
+    data = [
+        {"object": "embedding", "index": i, "embedding": vector}
+        for i, vector in reversed(list(zip(index, vectors)))
+    ]
+    return json.dumps({"object": "list", "data": data, "model": "enc-model"}).encode("utf-8")
+
+
+COMPONENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals among them
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(COMPONENTS, min_size=1, max_size=8), min_size=1, max_size=4))
+def test_embedding_rows_are_the_parsed_lists_bit_for_bit(encoder, vectors):
+    client, replies = encoder
+    replies.body = body = embeddings_body(vectors)
+    rows = [vector.row for vector in client.embed([f"t{i}" for i in range(len(vectors))])]
+    items = sorted(json.loads(body)["data"], key=lambda item: item["index"])
+    for row, item in zip(rows, items, strict=True):
+        expected = np.array(item["embedding"], dtype=np.float64)
+        assert row.dtype == np.float64 and not row.flags.writeable
+        assert row.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize(
+    "vectors, index, message",
+    [
+        ([[1.0, True]], None, "vector 0 has a component that is not a number"),
+        ([[1.0, "0.5"]], None, "vector 0 has a component that is not a number"),
+        ([[[1.0, 0.5]]], None, "vector 0 has a component that is not a number"),
+        ([[]], None, "embedding vector must be a non-empty row of numbers"),
+        ([[1.0, 10**400]], None, "int too large to convert to float"),
+        ([[1.0], [True]], [0, 5], "indices are not 0..1"),
+        ([[1.0], [10**400]], [1, 1], "indices are not 0..1"),
+        ([[], [1.0]], [0, 2], "indices are not 0..1"),
+    ],
+    ids=["bool", "string", "nested-list", "empty", "int-beyond-float64",
+         "bad-index-and-bool", "bad-index-and-overflow", "bad-index-and-empty"],
+)
+def test_an_unusable_embedding_keeps_its_message(encoder, vectors, index, message):
+    client, replies = encoder
+    replies.body = embeddings_body(vectors, index)
+    texts = ["a", "b"][: len(vectors)]
+    with pytest.raises(EmbeddingError) as raised:
+        client.embed(texts)
+    assert str(raised.value) == f"unexpected embeddings payload: {message}"
+
+
+def test_a_reply_is_parsed_within_two_and_a_half_times_its_body(encoder):
+    client, replies = encoder
+    rng = np.random.default_rng(0)
+    vectors = (rng.integers(-(2**16), 2**16, size=(128, 3072)) / 2**16).tolist()
+    replies.body = body = embeddings_body(vectors)
+    del vectors
+    tracemalloc.start()
+    try:
+        rows = client.embed([f"t{i}" for i in range(128)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 128 and rows[0].dim == 3072
+    # The bytes and their text are both alive while the body is decoded; no more.
+    assert peak < 2.5 * len(body), peak / len(body)
