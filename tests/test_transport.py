@@ -532,7 +532,7 @@ COMPONENTS = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.lists(COMPONENTS, min_size=1, max_size=8), min_size=1, max_size=4))
 def test_embedding_rows_are_the_parsed_lists_bit_for_bit(encoder, vectors):
     client, replies = encoder
