@@ -29,8 +29,9 @@ Exit 2: ``invalid-config``. Exit 1: ``missing-transcripts``,
 ``backtest-error`` and ``io-error`` (see ``_ERRORS``).
 
 Each command imports the stages it runs when it runs, so ``extract`` and
-``report-frequencies`` never load numpy, ``backtest`` loads neither the
-extractor nor the encoder, and only the online HTTP clients load http.client.
+``report-frequencies`` never load numpy, ``score`` loads neither the corpus
+module nor the extractor, ``backtest`` loads neither the extractor nor the
+encoder, and only the online HTTP clients load http.client.
 Before any stage loads numpy, the group sets ``OPENBLAS_NUM_THREADS=1``
 unless the caller set it: no stage runs a product large enough to gain from
 a BLAS thread pool, and starting one costs more than a backtest's numerics.
@@ -67,7 +68,7 @@ from .config import (
 
 if TYPE_CHECKING:
     from . import backtest as bt
-    from . import corpus, embed, extract, score
+    from . import corpus, embed, extract, score, targets
 
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
@@ -165,8 +166,8 @@ def _read_json(path: Path, code: str, parse: Callable[[Any], T]) -> T:
         raise CliError(code, f"{path.name}: {exc}") from exc
 
 
-def _target_set_name(target_set: extract.TargetSet) -> str:
-    return f"{target_set.firm}_{target_set.period}.{target_set.method}.json"
+def _target_set_name(firm: str, period: str, method: object) -> str:
+    return f"{firm}_{period}.{method}.json"
 
 
 # A target-set file is ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``
@@ -198,28 +199,49 @@ def _render_target_set(target_set: extract.TargetSet) -> str:
 def _write_target_set(targets_dir: Path, target_set: extract.TargetSet) -> str:
     """Write ``target_set`` under ``targets_dir`` and return the file's name."""
 
-    name = _target_set_name(target_set)
+    name = _target_set_name(target_set.firm, str(target_set.period), target_set.method)
     text = _render_target_set(target_set)
     fileio.replace(targets_dir / name, lambda handle: handle.write(text))
     return name
 
 
-def _parse_target_set(doc: Any) -> extract.TargetSet:
-    from . import corpus, extract
+def _parse_target_set(doc: Any) -> tuple[str, int, object, tuple[tuple[str, ...], int, int]]:
+    """(firm, period index, method, ``targets.merge_sections`` of the labels) of a set file.
 
-    labels = tuple(
-        extract.TargetLabel(item["text"], item["section"], int(item["source_index"]))
-        for item in doc["labels"]
-    )
-    for label in labels:
-        if not fileio.encodes_as_utf8(label.text):
-            raise ValueError(f"label {label.text!r} holds a lone surrogate, not UTF-8")
-    return extract.TargetSet(
-        firm=str(doc["firm"]),
-        period=corpus.YearQuarter(int(doc["year"]), int(doc["quarter"])),
-        labels=labels,
-        method=doc["method"],
-    )
+    ``doc`` is checked in the order, and with the messages, of building its
+    ``extract.TargetSet``: every label's fields, the UTF-8 of every text,
+    the firm, year and quarter, and then ``targets.merge_sections``.
+    """
+
+    from . import targets
+
+    labels = [(item["text"], item["section"], int(item["source_index"])) for item in doc["labels"]]
+    for text, _, _ in labels:
+        if not fileio.encodes_as_utf8(text):
+            raise ValueError(f"label {text!r} holds a lone surrogate, not UTF-8")
+    firm = str(doc["firm"])
+    year, quarter = int(doc["year"]), int(doc["quarter"])
+    # As ``corpus.YearQuarter`` checks it.
+    if quarter not in (1, 2, 3, 4):
+        raise ValueError(f"quarter must be in 1..4, got {quarter!r}")
+    method = doc["method"]
+    return firm, year * 4 + quarter - 1, method, targets.merge_sections(labels)
+
+
+def _read_target_sets(files: Sequence[Path]) -> targets.TargetColumns:
+    """The sets of ``files`` as columns; a file that breaks the format fails the run."""
+
+    from . import targets
+
+    columns = targets.TargetColumns()
+    for path in files:
+        firm, quarter, method, merged = _read_json(path, "malformed-target-set", _parse_target_set)
+        # A file's name is that of the set it holds, so no two files hold one set.
+        name = _target_set_name(firm, targets.period_name(quarter), method)
+        if path.name != name:
+            raise CliError("malformed-target-set", f"{path.name} holds the set of {name}")
+        columns.append(firm, quarter, *merged)
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -417,72 +439,90 @@ def _read_scores_csv(
     return {method: list(held.values()) for method, held in by_method.items()}
 
 
+def _write_score_tables(out_dir: Path, results: Sequence[score.CorpusScores]) -> None:
+    """Write ``scores.csv`` and ``score_matches.csv`` of ``results``, one per method.
+
+    Each result's sets are in (firm, period) order already, so merging them
+    gives the (firm, period, method) order of the rows; a set's matches
+    follow in label order, which is the order of their vocabulary ids.
+    """
+
+    import heapq
+    from itertools import count, repeat
+
+    # heapq.merge keeps the order of its inputs on a tie, here method order.
+    by_method = sorted(results, key=lambda result: result.method)
+    order = list(
+        heapq.merge(
+            *(zip(r.firms, r.quarters, repeat(r), count()) for r in by_method),
+            key=lambda entry: entry[:2],
+        )
+    )
+    fileio.write_csv(
+        out_dir / "scores.csv",
+        SCORES_CSV_HEADER,
+        (
+            [firm, quarter // 4, quarter % 4 + 1, result.method]
+            + [
+                _format_optional(v)
+                for v in (result.tau, result.values[i], result.n_prev[i], result.n_curr[i])
+            ]
+            + [result.skipped[i] or ""]
+            for firm, quarter, result, i in order
+        ),
+    )
+
+    def match_rows():
+        for firm, quarter, result, i in order:
+            prior = result.priors[i]
+            if prior is None:
+                continue
+            head = [firm, quarter // 4, quarter % 4 + 1, result.method]
+            best = result.best[i]
+            similarities = [""] * len(prior) if best is None else map(repr, best.tolist())
+            for label, similarity, kept in sorted(
+                zip(prior, similarities, result.retained[i].tolist())
+            ):
+                yield head + [result.vocabulary[label], similarity, int(kept)]
+
+    fileio.write_csv(out_dir / "score_matches.csv", MATCHES_CSV_HEADER, match_rows())
+
+
 def cmd_score(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
     """Score extracted target sets against the year-earlier call."""
 
     from . import score
 
     targets_dir = _targets_dir(config)
-    all_records: list[score.MovingTargetsScore] = []
-    all_matches: list[score.CorpusMatch] = []
-    summaries: dict[str, score.ScoreSummary] = {}
-
+    results: list[score.CorpusScores] = []
     for extraction_method, scoring_method in methods:
-        files = sorted(targets_dir.glob(f"*.{extraction_method}.json"))
+        files = sorted(targets_dir.glob(f"*.{extraction_method}.json"), key=str)
         if not files:
             raise CliError(
                 "missing-target-sets",
                 f"no {extraction_method} target-set files under {targets_dir}; run extract first",
             )
-        target_sets = []
-        for path in files:
-            target_set = _read_json(path, "malformed-target-set", _parse_target_set)
-            # A file's name is that of the set it holds, so no two files hold one set.
-            if path.name != _target_set_name(target_set):
-                raise CliError(
-                    "malformed-target-set",
-                    f"{path.name} holds the set of {_target_set_name(target_set)}",
-                )
-            target_sets.append(target_set)
-
+        target_sets = _read_target_sets(files)
         embedder = None
         if scoring_method == METHOD_SEMANTIC:
             embedder = _build_embedder(config)
-        result = score.score_corpus(
-            target_sets,
-            config.tau,
-            scoring_method,
-            embedder=embedder,
-            direction=config.direction,
-            empty_current=config.empty_current,
+        results.append(
+            score.score_corpus(
+                target_sets,
+                config.tau,
+                scoring_method,
+                embedder=embedder,
+                direction=config.direction,
+                empty_current=config.empty_current,
+            )
         )
-        all_records.extend(result.records)
-        all_matches.extend(result.matches)
-        summaries[scoring_method] = result.summary
+    summaries = {result.method: result.summary for result in results}
 
     if all(s.scoreable == 0 for s in summaries.values()):
         raise CliError("zero-scoreable", "no firm-quarter could be scored")
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    fileio.write_csv(
-        config.out_dir / "scores.csv",
-        SCORES_CSV_HEADER,
-        (
-            [r.firm, r.period.year, r.period.quarter, r.method]
-            + [_format_optional(v) for v in (r.tau, r.value, r.n_prev, r.n_curr)]
-            + [r.skipped_reason or ""]
-            for r in sorted(all_records, key=lambda r: (r.firm, r.period, r.method))
-        ),
-    )
-    fileio.write_csv(
-        config.out_dir / "score_matches.csv",
-        MATCHES_CSV_HEADER,
-        (
-            [m.firm, m.period.year, m.period.quarter, m.method, m.label]
-            + [_format_optional(m.best_similarity), int(m.retained)]
-            for m in sorted(all_matches, key=lambda m: (m.firm, m.period, m.method, m.label))
-        ),
-    )
+    _write_score_tables(config.out_dir, results)
 
     fileio.write_json(
         config.out_dir / "score_summary.json",

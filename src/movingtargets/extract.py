@@ -29,11 +29,8 @@ from typing import Callable, Protocol
 from . import fileio
 from .config import METHOD_BASELINE, METHOD_LLM
 from .corpus import ROLE_ANALYST, ROLE_OPERATOR, Transcript, YearQuarter
+from .targets import SECTION_PRESENTATION, SECTION_QA, SECTIONS, merge_sections, normalize_label
 from .transport import JsonEndpointClient, with_retries
-
-SECTION_PRESENTATION = "presentation"
-SECTION_QA = "analyst_qa"
-SECTIONS = (SECTION_PRESENTATION, SECTION_QA)
 
 VIOLATION_DIGIT = "digit"
 VIOLATION_PERCENT = "percent"
@@ -81,9 +78,9 @@ class TargetLabel:
 class TargetSet:
     """Validated, per-section-deduplicated labels for one firm-quarter.
 
-    ``texts`` is built once with the set: the normalized texts merged over
-    sections for scoring, presentation first, each text once where it first
-    occurs.
+    The labels must keep ``targets.merge_sections``'s rule. ``texts`` is
+    built once with the set: the normalized texts merged over sections for
+    scoring, presentation first, each text once where it first occurs.
     """
 
     firm: str
@@ -93,18 +90,10 @@ class TargetSet:
     texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_section: dict[str, dict[str, None]] = {section: {} for section in SECTIONS}
-        for label in self.labels:
-            if label.section not in SECTIONS:
-                raise ValueError(f"unknown section {label.section!r}")
-            text = normalize_label(label.text)
-            if not text:
-                raise ValueError(f"empty label {label.text!r} in {label.section}")
-            if text in by_section[label.section]:
-                raise ValueError(f"duplicate label {label.text!r} in {label.section}")
-            by_section[label.section][text] = None
-        merged = dict.fromkeys(text for texts in by_section.values() for text in texts)
-        object.__setattr__(self, "texts", tuple(merged))
+        texts, _, _ = merge_sections(
+            (label.text, label.section, label.source_index) for label in self.labels
+        )
+        object.__setattr__(self, "texts", texts)
 
 
 def merged_texts(target_set: TargetSet) -> tuple[str, ...]:
@@ -128,10 +117,6 @@ def validate_target_label(text: str) -> list[str]:
     if any(ch in _CURRENCY_CHARS for ch in text):
         violations.append(VIOLATION_CURRENCY)
     return violations
-
-
-def normalize_label(text: str) -> str:
-    return " ".join(text.split()).casefold()
 
 
 @lru_cache(maxsize=1)

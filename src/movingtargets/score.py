@@ -17,27 +17,34 @@ Both directions are available for either method via ``direction``; reports
 must carry the direction label because the two conventions sort firms in
 opposite economic order.
 
-Both methods read each set's merged texts, built once with the set
-(``TargetSet.texts``). Semantic scoring embeds the sorted vocabulary of the
-corpus once, stacks the vectors into one float64 matrix per model and scales
-every row to unit norm once with ``embed.unit_rows``, the one check on
-vectors, which also rejects mixed dimensions and zero or non-finite norms.
-Each firm-quarter pair then takes its rows from that matrix by index, and
-its similarity matrix is one product of unit rows.
+``score_corpus`` is the one engine for a corpus. It takes target sets as
+``targets.TargetColumns``, maps their merged texts to ids in one sorted
+vocabulary and scores each firm-quarter pair through the same per-pair
+kernels as ``semantic_mt_score`` and ``discrete_mt_score``. Semantic scoring
+embeds the vocabulary once, stacks the vectors into one float64 matrix per
+model and scales every row to unit norm once with ``embed.unit_rows``, the
+one check on vectors, which also rejects mixed dimensions and zero or
+non-finite norms. Each pair then takes its rows from that matrix by id, and
+its similarity matrix is one product of unit rows: a similarity's bits
+depend on the shape of the product that computes it. The result holds each
+pair's outcome as columns; ``CorpusScores.records`` and ``.matches`` build
+the record and match objects only when read. Scoring files imports neither
+the corpus module nor the extractor: ``MovingTargetsScore`` and
+``YearQuarter`` are loaded from ``corpus`` when a record is built.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 # The scoring vocabulary and each method's default direction are declared
 # with the settings, in ``config``. The backtest reads score records too, so
-# ``MovingTargetsScore`` lives in ``corpus``. Both stay importable from here.
+# ``MovingTargetsScore`` lives in ``corpus``; it stays importable from here.
 from .config import (
     DEFAULT_TAU,
     DIRECTION_MISSING,
@@ -48,14 +55,26 @@ from .config import (
     METHOD_SEMANTIC,
     default_direction,
 )
-from .corpus import MovingTargetsScore, YearQuarter, shift_quarters
 from .embed import EmbeddingError, EmbeddingVector, NormError, unit_rows
-from .extract import SECTION_PRESENTATION, SECTION_QA, TargetSet
+from .targets import TargetColumns, period_name
+
+if TYPE_CHECKING:
+    from .corpus import MovingTargetsScore, YearQuarter
+    from .extract import TargetSet
 
 SKIP_MISSING_PREVIOUS = "missing_previous_call"
 SKIP_EMPTY_PREVIOUS = "empty_previous_targets"
 
 _NO_MATCH_SIMILARITY = -1.0
+
+
+def __getattr__(name: str) -> object:
+    # Loaded when first asked for, so scoring target-set files loads no corpus module.
+    if name == "MovingTargetsScore":
+        from .corpus import MovingTargetsScore
+
+        return MovingTargetsScore
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UndefinedScoreError(ValueError):
@@ -88,12 +107,26 @@ class EmbeddedTargets:
             raise ValueError("texts and units must align")
 
 
+# A pair's outcome: per prior target its best similarity (None for the
+# discrete method, and under the zero rule with no current targets) and
+# whether it is retained, as arrays over the prior targets, and the sum of
+# their credits towards the retention value.
+Outcome = tuple[np.ndarray | None, np.ndarray, float]
+
+
 def similarity_matrix(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """All pairwise cosine similarities of unit rows, rows = current, columns = previous."""
 
     if not len(current) or not len(previous):
         return np.zeros((len(current), len(previous)))
     return current @ previous.T
+
+
+def _pool(matrix: np.ndarray) -> np.ndarray:
+    n_current, n_previous = matrix.shape
+    if n_current == 0:
+        return np.full(n_previous, _NO_MATCH_SIMILARITY)
+    return matrix.max(axis=0)
 
 
 def max_pool(matrix: np.ndarray) -> list[float]:
@@ -103,16 +136,34 @@ def max_pool(matrix: np.ndarray) -> list[float]:
     target pools to -1, the cosine minimum.
     """
 
-    n_current, n_previous = matrix.shape
-    if n_current == 0:
-        return [_NO_MATCH_SIMILARITY] * n_previous
-    return [float(v) for v in matrix.max(axis=0)]
+    return _pool(matrix).tolist()
 
 
 def apply_threshold(s: float, tau: float) -> float:
     """Similarities at or above tau count as fully retained (mapped to 1)."""
 
     return 1.0 if s >= tau else float(s)
+
+
+def _semantic_outcome(
+    current: np.ndarray, previous: np.ndarray, tau: float, empty_current: str
+) -> Outcome:
+    """Outcome of one pair's unit rows; each credit is ``apply_threshold`` of a best similarity."""
+
+    if not len(current) and empty_current == EMPTY_CURRENT_ZERO:
+        return None, np.zeros(len(previous), dtype=bool), 0.0
+    best = _pool(similarity_matrix(current, previous))
+    retained = best >= tau
+    # Summed left to right, as Python sums floats; np.sum sums pairwise.
+    return best, retained, sum(np.where(retained, 1.0, best).tolist())
+
+
+def _discrete_outcome(current: Sequence[object], previous: Sequence[object]) -> Outcome:
+    """Outcome of one pair's texts, or text ids: a prior target is retained if it recurs."""
+
+    present = set(current)
+    retained = [item in present for item in previous]
+    return None, np.array(retained, dtype=bool), float(sum(retained))
 
 
 def _oriented(retention_value: float, direction: str) -> float:
@@ -123,35 +174,49 @@ def _oriented(retention_value: float, direction: str) -> float:
     raise ValueError(f"unknown direction {direction!r}")
 
 
+def _matches(
+    firm: str,
+    period: YearQuarter,
+    method: str,
+    labels: Sequence[str],
+    best: np.ndarray | None,
+    retained: np.ndarray,
+) -> list[CorpusMatch]:
+    similarities = [None] * len(labels) if best is None else best.tolist()
+    return [
+        CorpusMatch(firm, period, method, label, similarity, kept)
+        for label, similarity, kept in zip(labels, similarities, retained.tolist())
+    ]
+
+
 def _pair_score(
     current: TargetSet | EmbeddedTargets,
     previous: TargetSet | EmbeddedTargets,
     method: str,
     tau: float | None,
     direction: str,
-    outcomes: Sequence[tuple[float | None, bool, float]],
+    outcome: Outcome,
 ) -> tuple[MovingTargetsScore, tuple[CorpusMatch, ...]]:
-    """Record and matches of one pair from, per prior target, its best
-    similarity, whether it is retained and its share of the retention value."""
+    """Record and matches of one pair from its outcome."""
+
+    from .corpus import MovingTargetsScore
 
     n_prev = len(previous.texts)
     if n_prev == 0:
         raise UndefinedScoreError(f"{previous.firm} {previous.period}: no prior targets")
+    best, retained, credit = outcome
     score = MovingTargetsScore(
         firm=current.firm,
         period=current.period,
-        value=_oriented(sum(credit for _, _, credit in outcomes) / n_prev, direction),
+        value=_oriented(credit / n_prev, direction),
         method=method,
         tau=tau,
         n_prev=n_prev,
         n_curr=len(current.texts),
         direction=direction,
     )
-    matches = tuple(
-        CorpusMatch(current.firm, current.period, method, text, best, retained)
-        for text, (best, retained, _) in zip(previous.texts, outcomes)
-    )
-    return score, matches
+    matches = _matches(current.firm, current.period, method, previous.texts, best, retained)
+    return score, tuple(matches)
 
 
 def semantic_mt_score(
@@ -172,12 +237,8 @@ def semantic_mt_score(
 
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau!r}")
-    if not current.texts and empty_current == EMPTY_CURRENT_ZERO:
-        outcomes = [(None, False, 0.0)] * len(previous.texts)
-    else:
-        pooled = max_pool(similarity_matrix(current.units, previous.units))
-        outcomes = [(s, s >= tau, apply_threshold(s, tau)) for s in pooled]
-    return _pair_score(current, previous, METHOD_SEMANTIC, tau, direction, outcomes)
+    outcome = _semantic_outcome(current.units, previous.units, tau, empty_current)
+    return _pair_score(current, previous, METHOD_SEMANTIC, tau, direction, outcome)
 
 
 def discrete_mt_score(
@@ -188,10 +249,8 @@ def discrete_mt_score(
 ) -> tuple[MovingTargetsScore, tuple[CorpusMatch, ...]]:
     """Set-difference drift score: the share of prior targets not reappearing."""
 
-    current_texts = set(current.texts)
-    retained = [text in current_texts for text in previous.texts]
-    outcomes = [(None, kept, float(kept)) for kept in retained]
-    return _pair_score(current, previous, METHOD_DISCRETE, None, direction, outcomes)
+    outcome = _discrete_outcome(current.texts, previous.texts)
+    return _pair_score(current, previous, METHOD_DISCRETE, None, direction, outcome)
 
 
 @dataclass(frozen=True)
@@ -208,18 +267,92 @@ class ScoreSummary:
     qa_per_call: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorpusScores:
-    records: tuple[MovingTargetsScore, ...]
-    matches: tuple[CorpusMatch, ...]
+    """Every firm-quarter of one method, as columns in (firm, period) order.
+
+    Entry ``i`` is the set of firm ``firms[i]`` in period index
+    ``quarters[i]`` (``year * 4 + quarter - 1``) with ``n_curr[i]`` texts. A
+    skipped set has ``values[i]`` None and its reason in ``skipped[i]``. A
+    scored set's prior targets are ``priors[i]``, ids into ``vocabulary`` in
+    the prior set's merged order (``n_prev[i]`` of them), with the outcome
+    columns ``best[i]`` and ``retained[i]`` over them; a skipped set has None
+    in all three. ``tau`` is None for the discrete method. ``records`` and
+    ``matches`` are the same as ``MovingTargetsScore`` and ``CorpusMatch``
+    objects, built when first read; two results are equal if those and the
+    summaries are.
+    """
+
+    method: str
+    direction: str
+    tau: float | None
+    vocabulary: list[str]
+    firms: list[str]
+    quarters: list[int]
+    n_curr: list[int]
+    n_prev: list[int | None]
+    values: list[float | None]
+    skipped: list[str | None]
+    priors: list[list[int] | None]
+    best: list[np.ndarray | None]
+    retained: list[np.ndarray | None]
     summary: ScoreSummary
+
+    @cached_property
+    def _periods(self) -> list[YearQuarter]:
+        from .corpus import YearQuarter
+
+        return [YearQuarter(quarter // 4, quarter % 4 + 1) for quarter in self.quarters]
+
+    @cached_property
+    def records(self) -> tuple[MovingTargetsScore, ...]:
+        from .corpus import MovingTargetsScore
+
+        return tuple(
+            MovingTargetsScore(
+                firm=firm,
+                period=period,
+                value=value,
+                method=self.method,
+                tau=self.tau,
+                n_prev=n_prev,
+                n_curr=n_curr,
+                direction=self.direction,
+                skipped_reason=reason,
+            )
+            for firm, period, value, n_prev, n_curr, reason in zip(
+                self.firms, self._periods, self.values, self.n_prev, self.n_curr, self.skipped
+            )
+        )
+
+    @cached_property
+    def matches(self) -> tuple[CorpusMatch, ...]:
+        """Every scored set's matches, in set order, each over its prior targets in merged order."""
+
+        matches: list[CorpusMatch] = []
+        for i, prior in enumerate(self.priors):
+            if prior is not None:
+                labels = [self.vocabulary[label] for label in prior]
+                period = self._periods[i]
+                best, retained = self.best[i], self.retained[i]
+                matches += _matches(self.firms[i], period, self.method, labels, best, retained)
+        return tuple(matches)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CorpusScores):
+            return NotImplemented
+        return (self.records, self.matches, self.summary) == (
+            other.records,
+            other.matches,
+            other.summary,
+        )
 
 
 Embedder = Callable[[Sequence[str]], list[EmbeddingVector]]
 
 
 def score_corpus(
-    target_sets: Sequence[TargetSet],
+    target_sets: TargetColumns | Sequence[TargetSet],
     tau: float,
     method: str,
     *,
@@ -241,92 +374,109 @@ def score_corpus(
     if method == METHOD_SEMANTIC and embedder is None:
         raise ValueError("semantic scoring requires an embedder")
 
-    by_key: dict[tuple[str, YearQuarter], TargetSet] = {}
-    for ts in target_sets:
-        key = (ts.firm, ts.period)
-        if key in by_key:
-            raise ValueError(f"duplicate target set for {ts.firm} {ts.period}")
-        by_key[key] = ts
+    sets = target_sets
+    if not isinstance(sets, TargetColumns):
+        sets = TargetColumns.of_sets(target_sets)
+    keys = list(zip(sets.firms, sets.quarters))
+    position: dict[tuple[str, int], int] = {}
+    for i, (firm, quarter) in enumerate(keys):
+        if position.setdefault((firm, quarter), i) != i:
+            raise ValueError(f"duplicate target set for {firm} {period_name(quarter)}")
 
-    units, row_of = np.empty((0, 0)), {}
+    # Ids follow the sorted vocabulary, so sorting ids sorts the texts.
+    vocabulary = sorted({text for texts in sets.texts for text in texts})
+    id_of = dict(zip(vocabulary, range(len(vocabulary))))
+    ids = [[id_of[text] for text in texts] for texts in sets.texts]
+
     if method == METHOD_SEMANTIC:
-        vocabulary = sorted({text for ts in by_key.values() for text in ts.texts})
         try:
             units = unit_rows(embedder(vocabulary) if vocabulary else [])
         except NormError as exc:
             raise EmbeddingError(f"label {vocabulary[exc.row]!r}: {exc}") from exc
-        row_of = {text: i for i, text in enumerate(vocabulary)}
+        # Each pair's unit rows are taken into one of two buffers sized by the
+        # longest set, so no matrix is allocated per set. mode="clip" fills
+        # ``out`` in place ("raise" buffers it through a temporary); every id
+        # indexes the vocabulary, so none is clipped.
+        longest = max(map(len, ids), default=0)
+        buffers = [np.empty((longest, units.shape[1])) for _ in range(2)]
+        rows = [np.array(set_ids, dtype=np.intp) for set_ids in ids]
 
-    # Each pair's unit rows are taken into one of two buffers sized by the
-    # longest set, so no per-set array is allocated. mode="clip" fills ``out``
-    # in place ("raise" buffers it through a temporary); every index comes
-    # from ``row_of``, so none is clipped.
-    longest = max((len(ts.texts) for ts in by_key.values()), default=0)
-    current_rows, previous_rows = (np.empty((longest, units.shape[1])) for _ in range(2))
+        def outcome(current: int, previous: int) -> Outcome:
+            taken = [
+                np.take(units, rows[i], axis=0, out=buffer[: len(rows[i])], mode="clip")
+                for i, buffer in zip((current, previous), buffers)
+            ]
+            return _semantic_outcome(*taken, tau, empty_current)
 
-    def embedded(ts: TargetSet, buffer: np.ndarray) -> EmbeddedTargets:
-        rows = np.array([row_of[text] for text in ts.texts], dtype=np.intp)
-        out = np.take(units, rows, axis=0, out=buffer[: len(rows)], mode="clip")
-        return EmbeddedTargets(firm=ts.firm, period=ts.period, texts=ts.texts, units=out)
+    else:
+
+        def outcome(current: int, previous: int) -> Outcome:
+            return _discrete_outcome(ids[current], ids[previous])
 
     tau_field = tau if method == METHOD_SEMANTIC else None
-    records: list[MovingTargetsScore] = []
-    matches: list[CorpusMatch] = []
-    for key in sorted(by_key, key=lambda k: (k[0], k[1])):
-        firm, period = key
-        current = by_key[key]
-        previous = by_key.get((firm, shift_quarters(period, -4)))
-
-        if previous is None or not previous.texts:
-            missing = previous is None
-            records.append(
-                MovingTargetsScore(
-                    firm=firm,
-                    period=period,
-                    value=None,
-                    method=method,
-                    tau=tau_field,
-                    n_prev=None if missing else 0,
-                    n_curr=len(current.texts),
-                    direction=direction,
-                    skipped_reason=SKIP_MISSING_PREVIOUS if missing else SKIP_EMPTY_PREVIOUS,
-                )
-            )
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    n_prev: list[int | None] = []
+    values: list[float | None] = []
+    skipped: list[str | None] = []
+    priors: list[list[int] | None] = []
+    best: list[np.ndarray | None] = []
+    retained: list[np.ndarray | None] = []
+    for i in order:
+        firm, quarter = keys[i]
+        previous = position.get((firm, quarter - 4))
+        prior = None if previous is None else ids[previous]
+        if not prior:
+            n_prev.append(None if prior is None else 0)
+            values.append(None)
+            skipped.append(SKIP_MISSING_PREVIOUS if prior is None else SKIP_EMPTY_PREVIOUS)
+            priors.append(None)
+            best.append(None)
+            retained.append(None)
             continue
+        pair_best, pair_retained, credit = outcome(i, previous)
+        n_prev.append(len(prior))
+        values.append(_oriented(credit / len(prior), direction))
+        skipped.append(None)
+        priors.append(prior)
+        best.append(pair_best)
+        retained.append(pair_retained)
 
-        if method == METHOD_SEMANTIC:
-            record, pair_matches = semantic_mt_score(
-                embedded(current, current_rows),
-                embedded(previous, previous_rows),
-                tau,
-                direction=direction,
-                empty_current=empty_current,
-            )
-        else:
-            record, pair_matches = discrete_mt_score(current, previous, direction=direction)
-        records.append(record)
-        matches.extend(pair_matches)
-
-    summary = _summarize(list(by_key.values()), records, method, direction, tau_field)
-    return CorpusScores(records=tuple(records), matches=tuple(matches), summary=summary)
+    return CorpusScores(
+        method=method,
+        direction=direction,
+        tau=tau_field,
+        vocabulary=vocabulary,
+        firms=[keys[i][0] for i in order],
+        quarters=[keys[i][1] for i in order],
+        n_curr=[len(ids[i]) for i in order],
+        n_prev=n_prev,
+        values=values,
+        skipped=skipped,
+        priors=priors,
+        best=best,
+        retained=retained,
+        summary=_summarize(sets, values, method, direction, tau_field),
+    )
 
 
 def _summarize(
-    target_sets: Sequence[TargetSet],
-    records: Sequence[MovingTargetsScore],
+    sets: TargetColumns,
+    values: Sequence[float | None],
     method: str,
     direction: str,
     tau: float | None,
 ) -> ScoreSummary:
-    calls = len(target_sets)
-    section_counts = Counter(label.section for ts in target_sets for label in ts.labels)
-    values = [r.value for r in records if r.value is not None]
+    """Summary of a result's ``values``, in set order, over the sets they were scored from."""
+
+    calls = len(sets.firms)
+    presentation, qa = sum(sets.presentation), sum(sets.qa)
+    scored = [v for v in values if v is not None]
 
     mean = sd = None
-    if values:
-        mean = sum(values) / len(values)
-        if len(values) > 1:
-            var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    if scored:
+        mean = sum(scored) / len(scored)
+        if len(scored) > 1:
+            var = sum((v - mean) ** 2 for v in scored) / (len(scored) - 1)
             sd = math.sqrt(var)
         else:
             sd = 0.0
@@ -335,11 +485,11 @@ def _summarize(
         method=method,
         direction=direction,
         tau=tau,
-        scoreable=len(values),
-        skipped=len(records) - len(values),
+        scoreable=len(scored),
+        skipped=len(values) - len(scored),
         mean=mean,
         sd=sd,
-        targets_per_call=section_counts.total() / calls if calls else 0.0,
-        presentation_per_call=section_counts[SECTION_PRESENTATION] / calls if calls else 0.0,
-        qa_per_call=section_counts[SECTION_QA] / calls if calls else 0.0,
+        targets_per_call=(presentation + qa) / calls if calls else 0.0,
+        presentation_per_call=presentation / calls if calls else 0.0,
+        qa_per_call=qa / calls if calls else 0.0,
     )
