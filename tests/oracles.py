@@ -13,8 +13,10 @@ reference walks each holding window month by month through a dict of
 return rows instead of looking up whole columns, the cross-sectional
 reference groups panel rows by month in a dict instead of sorting a table,
 the label rule checks every rule on every label, with no shortcut for
-plain words, and the extractors' label references harvest every label first
-and only then normalise and deduplicate the whole list.
+plain words, the extractors' label references harvest every label first
+and only then normalise and deduplicate the whole list, and the score-file
+reference scores every pair through the per-pair API and sorts every record
+and match once, as ``score`` wrote its files before it scored columns.
 """
 
 from __future__ import annotations
@@ -369,3 +371,117 @@ def baseline_harvest_reference(transcript):
                 phrase = f"{words[i - 1]} {word}" if i and words[i - 1] in _DETERMINERS else word
                 harvested.append(TargetLabel(phrase, section, utterance.index))
     return harvested
+
+
+def score_files_reference(sets_by_method, tau, embedder, direction, empty_current):
+    """``{file name: bytes}`` of ``scores.csv``, ``score_matches.csv`` and
+    ``score_summary.json``, or None where ``score`` fails as zero-scoreable.
+
+    ``sets_by_method`` maps each scoring method to its ``TargetSet``s and
+    ``embedder`` gives the ``EmbeddingVector``s of a list of texts. Each pair
+    is scored through ``semantic_mt_score``, on unit rows of its own sets'
+    vectors, or ``discrete_mt_score``; a firm-quarter with no prior-year
+    call, or an empty one, gets its skipped record here. Then every record
+    and every match is sorted once, by (firm, period, method) and by (firm,
+    period, method, label), and written with ``cli._format_optional``.
+    """
+
+    import csv
+    import io
+    import json
+    from collections import Counter
+
+    from movingtargets.cli import MATCHES_CSV_HEADER, SCORES_CSV_HEADER, _format_optional
+    from movingtargets.config import METHOD_SEMANTIC, default_direction
+    from movingtargets.corpus import MovingTargetsScore, shift_quarters
+    from movingtargets.score import (
+        EmbeddedTargets,
+        discrete_mt_score,
+        semantic_mt_score,
+        unit_rows,
+    )
+
+    def embedded(target_set):
+        texts = target_set.texts
+        units = unit_rows(embedder(list(texts)) if texts else [])
+        return EmbeddedTargets(target_set.firm, target_set.period, texts, units)
+
+    records, matches, summaries = [], [], {}
+    for method, target_sets in sets_by_method.items():
+        method_direction = direction or default_direction(method)
+        tau_field = tau if method == METHOD_SEMANTIC else None
+        by_key = {(ts.firm, ts.period): ts for ts in target_sets}
+        method_records = []
+        for firm, period in sorted(by_key):
+            current = by_key[(firm, period)]
+            previous = by_key.get((firm, shift_quarters(period, -4)))
+            if previous is None or not previous.texts:
+                missing = previous is None
+                record = MovingTargetsScore(
+                    firm, period, None, method, tau_field, None if missing else 0,
+                    len(current.texts), method_direction,
+                    "missing_previous_call" if missing else "empty_previous_targets",
+                )
+                pair_matches = ()
+            elif method == METHOD_SEMANTIC:
+                record, pair_matches = semantic_mt_score(
+                    embedded(current), embedded(previous), tau,
+                    direction=method_direction, empty_current=empty_current,
+                )
+            else:
+                record, pair_matches = discrete_mt_score(
+                    current, previous, direction=method_direction
+                )
+            method_records.append(record)
+            matches.extend(pair_matches)
+        records.extend(method_records)
+
+        values = [r.value for r in method_records if r.value is not None]
+        mean = sd = None
+        if values:
+            mean = sum(values) / len(values)
+            sd = 0.0
+            if len(values) > 1:
+                sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
+        calls = len(target_sets)
+        sections = Counter(label.section for ts in target_sets for label in ts.labels)
+        summaries[method] = {
+            "direction": method_direction,
+            "tau": tau_field,
+            "scoreable": len(values),
+            "skipped": len(method_records) - len(values),
+            "mean": mean,
+            "sd": sd,
+            "targets_per_call": sections.total() / calls if calls else 0.0,
+            "presentation_per_call": sections["presentation"] / calls if calls else 0.0,
+            "qa_per_call": sections["analyst_qa"] / calls if calls else 0.0,
+        }
+
+    if all(summary["scoreable"] == 0 for summary in summaries.values()):
+        return None
+
+    def table(header, rows):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+        return buffer.getvalue().encode("utf-8")
+
+    return {
+        "scores.csv": table(
+            SCORES_CSV_HEADER,
+            (
+                [r.firm, r.period.year, r.period.quarter, r.method]
+                + [_format_optional(v) for v in (r.tau, r.value, r.n_prev, r.n_curr)]
+                + [r.skipped_reason or ""]
+                for r in sorted(records, key=lambda r: (r.firm, r.period, r.method))
+            ),
+        ),
+        "score_matches.csv": table(
+            MATCHES_CSV_HEADER,
+            (
+                [m.firm, m.period.year, m.period.quarter, m.method, m.label]
+                + [_format_optional(m.best_similarity), int(m.retained)]
+                for m in sorted(matches, key=lambda m: (m.firm, m.period, m.method, m.label))
+            ),
+        ),
+        "score_summary.json": (json.dumps(summaries, sort_keys=True, indent=2) + "\n").encode(),
+    }

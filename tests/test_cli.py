@@ -5,7 +5,10 @@ import json
 import math
 import shutil
 import struct
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -23,8 +26,11 @@ from corpusgen import (
 from movingtargets import backtest
 from movingtargets import corpus as mt_corpus
 from movingtargets import extract
+from movingtargets import score as mt_score
 from movingtargets.cli import PORTFOLIO_METRICS, SCORES_CSV_HEADER, _render_target_set, main
-from movingtargets.embed import EmbeddingCache
+from movingtargets.config import load_config
+from movingtargets.embed import EmbeddingCache, EmbeddingVector
+from oracles import score_files_reference
 from test_extract import JSON_TEXT
 
 
@@ -844,6 +850,60 @@ CORRUPT_INPUTS = {
         "targets/AAPL_2019Q1.llm.json", edit_json(lambda doc: doc.update(year=1990)),
         "score", "malformed-target-set",
     ),
+    "target-set-duplicate-label": (
+        "targets/AAPL_2019Q1.llm.json",
+        edit_json(lambda doc: doc["labels"].append(dict(doc["labels"][0]))),
+        "score", "malformed-target-set",
+    ),
+    "target-set-unknown-section": (
+        "targets/AAPL_2019Q1.llm.json",
+        edit_json(lambda doc: doc["labels"][0].update(section="closing_remarks")),
+        "score", "malformed-target-set",
+    ),
+    "target-set-quarter-5": (
+        "targets/AAPL_2019Q1.llm.json", edit_json(lambda doc: doc.update(quarter=5)),
+        "score", "malformed-target-set",
+    ),
+    "target-set-labels-absent": (
+        "targets/AAPL_2019Q1.llm.json", edit_json(lambda doc: doc.pop("labels")),
+        "score", "malformed-target-set",
+    ),
+    "target-set-source-index-not-a-number": (
+        "targets/AAPL_2019Q1.llm.json",
+        edit_json(lambda doc: doc["labels"][0].update(source_index="x")),
+        "score", "malformed-target-set",
+    ),
+}
+
+
+# The detail of the stderr line ``error: malformed-target-set: <detail>`` of
+# every ``score`` case of CORRUPT_INPUTS, as ``score`` has printed it since it
+# first checked target-set files. The checks run in one order, so each line
+# names the first rule its file breaks.
+TARGET_SET_ERRORS = {
+    "target-set-blank-label": "AAPL_2019Q1.llm.json: empty label ' ' in presentation",
+    "target-set-duplicate-label": (
+        "AAPL_2019Q1.llm.json: duplicate label 'gross margin' in presentation"
+    ),
+    "target-set-firm-is-a-list": "AAPL_2019Q1.llm.json holds the set of ['AAPL']_2019Q1.llm.json",
+    "target-set-firm-is-an-int": "AAPL_2019Q1.llm.json holds the set of 7_2019Q1.llm.json",
+    "target-set-label-lone-surrogate": (
+        "AAPL_2019Q1.llm.json: label 'gross \\ud800 margin' holds a lone surrogate, not UTF-8"
+    ),
+    "target-set-labels-absent": "AAPL_2019Q1.llm.json: 'labels'",
+    "target-set-method-not-the-files": (
+        "AAPL_2019Q1.llm.json holds the set of AAPL_2019Q1.baseline.json"
+    ),
+    "target-set-quarter-5": "AAPL_2019Q1.llm.json: quarter must be in 1..4, got 5",
+    "target-set-quarter-not-the-files": (
+        "AAPL_2019Q1.llm.json holds the set of AAPL_1990Q1.llm.json"
+    ),
+    "target-set-repeats-firm-quarter": "copy.llm.json holds the set of AAPL_2019Q1.llm.json",
+    "target-set-source-index-not-a-number": (
+        "AAPL_2019Q1.llm.json: invalid literal for int() with base 10: 'x'"
+    ),
+    "target-set-unknown-section": "AAPL_2019Q1.llm.json: unknown section 'closing_remarks'",
+    "target-set-year-is-infinite": "AAPL_2019Q1.llm.json: cannot convert float infinity to integer",
 }
 
 
@@ -876,6 +936,8 @@ def test_malformed_input_gives_one_error_line_and_keeps_outputs(
     assert isinstance(result.exception, SystemExit)
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith(f"error: {code}: ")
+    if command == "score":
+        assert result.stderr == f"error: {code}: {TARGET_SET_ERRORS[case]}\n"
     for value in planted:
         lines = (out / name).read_text(encoding="utf-8").splitlines()
         line = next(n for n, text in enumerate(lines, 1) if value in text)
@@ -955,6 +1017,178 @@ def test_score_outputs_are_byte_identical_from_a_legacy_text_cache(
         assert result.exit_code == 0, result.output
         for name in ("scores.csv", "score_matches.csv", "score_summary.json"):
             assert (out / name).read_bytes() == (pipeline_out / name).read_bytes(), (run, name)
+
+
+SCORE_FILES = ("scores.csv", "score_matches.csv", "score_summary.json")
+
+
+def read_target_set_files(targets_dir, method):
+    """``{scoring method: its TargetSets}`` of the files under ``targets_dir`` for ``--method``."""
+
+    sets_by_method = {}
+    for extraction, scoring in (("baseline", "discrete"), ("llm", "semantic")):
+        if method not in ("both", extraction):
+            continue
+        sets_by_method[scoring] = []
+        for path in sorted(targets_dir.glob(f"*.{extraction}.json")):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            labels = tuple(
+                extract.TargetLabel(item["text"], item["section"], item["source_index"])
+                for item in doc["labels"]
+            )
+            period = mt_corpus.YearQuarter(doc["year"], doc["quarter"])
+            target_set = extract.TargetSet(doc["firm"], period, labels, extraction)
+            sets_by_method[scoring].append(target_set)
+    return sets_by_method
+
+
+def cache_embedder(cache_dir, model_id):
+    cache = EmbeddingCache(cache_dir)
+    return lambda texts: [cache.get(model_id, text) for text in texts]
+
+
+@pytest.fixture(scope="module")
+def targets_with_empty_sets(pipeline_out, tmp_path_factory):
+    """The pipeline's target sets, with both of AAPL's 2020Q2 sets emptied.
+
+    AAPL 2020Q2 is then scored with no current targets, and AAPL 2021Q2 is
+    skipped for an empty prior call.
+    """
+
+    targets = tmp_path_factory.mktemp("empty_sets") / "targets"
+    shutil.copytree(pipeline_out / "targets", targets)
+    for path in targets.glob("AAPL_2020Q2.*.json"):
+        edit_json(lambda doc: doc.update(labels=[]))(path)
+    return targets
+
+
+@pytest.mark.parametrize("empty_current", ["penalize", "zero"])
+@pytest.mark.parametrize("direction", ["retention", "missing"])
+@pytest.mark.parametrize("method", ["llm", "baseline", "both"])
+def test_score_files_equal_the_per_pair_reference(
+    full_corpus, targets_with_empty_sets, tmp_path, method, direction, empty_current
+):
+    doc = yaml.safe_load(full_corpus.config_file.read_text(encoding="utf-8"))
+    for key in ("transcripts_dir", "returns_file", "factors_file"):
+        doc[key] = str(full_corpus.root / doc[key])
+    doc["encoder"]["cache_dir"] = str(full_corpus.cache_dir)
+    doc["empty_current"] = empty_current
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    shutil.copytree(targets_with_empty_sets, out / "targets")
+    result = CliRunner().invoke(
+        main,
+        ["score", "--method", method, "--direction", direction,
+         "--config", str(config), "--out-dir", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    expected = score_files_reference(
+        read_target_set_files(out / "targets", method),
+        load_config(config).tau,
+        cache_embedder(full_corpus.cache_dir, ENCODER_MODEL),
+        direction,
+        empty_current,
+    )
+    assert {name: (out / name).read_bytes() for name in SCORE_FILES} == expected
+
+
+# Texts that differ only in case or whitespace normalize to one label.
+LABEL_VARIANTS = (
+    "gross margin", "Gross  Margin", " GROSS MARGIN", "free cash flow", "Free cash\tflow",
+    "order backlog", "pricing power", "Pricing Power ",
+)
+
+
+@st.composite
+def set_files_of_both_methods(draw):
+    """Target sets of both extraction methods for two firms over up to nine quarters.
+
+    Some quarters are missing, so some calls have no prior-year call. A set
+    may be empty, and one text may be in both of its sections.
+    """
+
+    sets = []
+    for method in ("baseline", "llm"):
+        for firm in ("A", "B"):
+            for quarter in sorted(draw(st.sets(st.integers(0, 8), min_size=1))):
+                texts = st.lists(
+                    st.sampled_from(LABEL_VARIANTS), max_size=4, unique_by=extract.normalize_label
+                )
+                labels = tuple(
+                    extract.TargetLabel(text, section, index)
+                    for section in extract.SECTIONS
+                    for index, text in enumerate(draw(texts))
+                )
+                period = mt_corpus.shift_quarters(mt_corpus.YearQuarter(2020, 1), quarter)
+                sets.append(extract.TargetSet(firm, period, labels, method))
+    return sets
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    set_files_of_both_methods(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.5, 0.65, 0.9]),
+    st.sampled_from(["penalize", "zero"]),
+    st.sampled_from(["retention", "missing"]),
+)
+def test_score_files_of_random_sets_equal_the_per_pair_reference(
+    target_sets, seed, tau, empty_current, direction
+):
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cache = EmbeddingCache(root / "cache")
+        for text in sorted({extract.normalize_label(text) for text in LABEL_VARIANTS}):
+            cache.put(EmbeddingVector(rng.standard_normal(3), "m"), text)
+        out = root / "out"
+        (out / "targets").mkdir(parents=True)
+        for ts in target_sets:
+            name = f"{ts.firm}_{ts.period}.{ts.method}.json"
+            (out / "targets" / name).write_text(_render_target_set(ts), encoding="utf-8")
+        config = root / "config.yaml"
+        doc = {
+            "transcripts_dir": "transcripts", "returns_file": "returns.csv",
+            "factors_file": "factors.csv", "tau": tau, "empty_current": empty_current,
+            "offline": True, "encoder": {"model_id": "m", "cache_dir": "cache"},
+        }
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        result = CliRunner().invoke(
+            main,
+            ["score", "--direction", direction, "--config", str(config), "--out-dir", str(out)],
+        )
+        expected = score_files_reference(
+            read_target_set_files(out / "targets", "both"),
+            tau,
+            cache_embedder(root / "cache", "m"),
+            direction,
+            empty_current,
+        )
+        if expected is None:
+            assert result.exit_code == 1, result.output
+            assert result.stderr == "error: zero-scoreable: no firm-quarter could be scored\n"
+        else:
+            assert result.exit_code == 0, result.output
+            assert {name: (out / name).read_bytes() for name in SCORE_FILES} == expected
+
+
+def test_score_command_builds_no_match_objects(full_corpus, tmp_path, monkeypatch, pipeline_out):
+    built = []
+    match_type = mt_score.CorpusMatch
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return match_type(*args, **kwargs)
+
+    monkeypatch.setattr(mt_score, "CorpusMatch", counted)
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out / "targets", out / "targets")
+    result = invoke(CliRunner(), full_corpus, "score", out_dir=out)
+    assert result.exit_code == 0, result.output
+    for name in SCORE_FILES:
+        assert (out / name).read_bytes() == (pipeline_out / name).read_bytes(), name
+    assert built == []
 
 
 def assert_clean_exit(result, exits=(0, 1)):

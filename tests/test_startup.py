@@ -6,11 +6,12 @@ as a user does, so they see what the command itself imports: offline
 ``extract`` and ``report-frequencies`` load neither numpy nor
 ``http.client``, offline ``score`` and ``backtest`` load numpy only, online
 ``extract`` loads ``http.client`` (and with it ``ssl``) only, and no command
-loads requests. ``backtest`` loads neither the extractor, the encoder, the
-HTTP layer nor a thread pool, and ``report-frequencies`` not even the corpus
-module. Each child also reports the ``OPENBLAS_NUM_THREADS`` it ran with: 1
-unless the caller set another. Online ``score`` runs here too, so a retry
-goes through the program's own HTTP session.
+loads requests. ``score`` loads neither the corpus module nor the extractor,
+``backtest`` loads neither the extractor, the encoder, the HTTP layer nor a
+thread pool, and ``report-frequencies`` not even the corpus module. Each
+child also reports the ``OPENBLAS_NUM_THREADS`` it ran with: 1 unless the
+caller set another. Online ``score`` runs here too, so a retry goes through
+the program's own HTTP session.
 """
 
 from __future__ import annotations
@@ -197,6 +198,7 @@ def test_offline_command_loads_only_what_it_runs(offline_pass, command, expected
 @pytest.mark.parametrize(
     "command, absent",
     [
+        ("score", {"movingtargets.corpus", "movingtargets.extract"}),
         (
             "backtest",
             {
