@@ -198,7 +198,6 @@ def test_offline_command_loads_only_what_it_runs(offline_pass, command, expected
 @pytest.mark.parametrize(
     "command, absent",
     [
-        ("score", {"movingtargets.corpus", "movingtargets.extract"}),
         (
             "backtest",
             {
@@ -209,6 +208,7 @@ def test_offline_command_loads_only_what_it_runs(offline_pass, command, expected
             },
         ),
         ("report-frequencies", {"movingtargets.corpus", "movingtargets.extract"}),
+        ("score", {"movingtargets.corpus", "movingtargets.extract"}),
     ],
 )
 def test_command_loads_no_stage_it_does_not_run(offline_pass, command, absent):
