@@ -7,6 +7,9 @@ call until its next call, then estimate excess returns and factor alphas
 per quintile and for the Q5-Q1 spread, plus monthly cross-sectional
 regressions of firm returns on the score and standard controls.
 
+Score records arrive as ``corpus.ScoreColumns``; the quintile assignments and
+the firm-month panel both hold the windows of ``ScoreColumns.holdings``.
+
 All regressions are ordinary least squares with classical standard errors.
 Degenerate t-stats (zero variance) are reported as 0 and flagged instead of
 infinity.
@@ -27,9 +30,8 @@ from .corpus import (
     PanelObservation,
     PanelTable,
     ReturnsTable,
+    ScoreColumns,
     YearQuarter,
-    holding_windows,
-    shift_quarters,
     window_months,
 )
 
@@ -177,55 +179,45 @@ class AssignmentResult:
     unassignable: int
 
 
-def build_assignments(records: Sequence[MovingTargetsScore]) -> AssignmentResult:
+def build_assignments(records: ScoreColumns | Sequence[MovingTargetsScore]) -> AssignmentResult:
     """Quintile assignments for every scored record with enough history.
 
     Breakpoints for period t pool the score values of all firms over the
     trailing four quarters (t-4 .. t-1). The first sample year of scores is
     burn-in: records less than four quarters after the earliest score, or
-    with too few pooled prior observations, receive no assignment.
+    with too few pooled prior observations, receive no assignment. The
+    assignments follow ``ScoreColumns.holdings``, whose windows they hold;
+    ``MovingTargetsScore`` records are taken as ``ScoreColumns`` first.
     """
 
-    windows = holding_windows((record.firm, record.period) for record in records)
-    values_by_period: dict[YearQuarter, list[float]] = {}
-    for record in records:
-        if record.value is not None:
-            values_by_period.setdefault(record.period, []).append(record.value)
-
-    assignments = []
-    unassignable = 0
-    scored = sorted(
-        (r for r in records if r.value is not None),
-        key=lambda r: (r.firm, r.period.year, r.period.quarter),
-    )
-    if not scored:
-        return AssignmentResult(assignments=(), unassignable=0)
-    burn_in_end = shift_quarters(min(values_by_period), 4)
-    cutoffs_by_period: dict[YearQuarter, tuple[float, float, float, float]] = {}
+    if not isinstance(records, ScoreColumns):
+        records = ScoreColumns.of_records(records)
+    periods, values = records.quarters.tolist(), records.values.tolist()
+    values_by_period: dict[int, list[float]] = {}
+    for i in np.flatnonzero(records.scored).tolist():
+        values_by_period.setdefault(periods[i], []).append(values[i])
+    burn_in_end = min(values_by_period, default=0) + 4
+    cutoffs_by_period: dict[int, tuple[float, float, float, float]] = {}
     for period in values_by_period:
-        if period < burn_in_end:
-            continue
-        pool: list[float] = []
-        for k in range(1, 5):
-            pool.extend(values_by_period.get(shift_quarters(period, -k), ()))
-        if len(pool) >= MIN_BREAKPOINT_OBSERVATIONS:
+        pool = [v for k in range(1, 5) for v in values_by_period.get(period - k, ())]
+        if period >= burn_in_end and len(pool) >= MIN_BREAKPOINT_OBSERVATIONS:
             cutoffs_by_period[period] = quintile_breakpoints(pool)
-    for record in scored:
-        cutoffs = cutoffs_by_period.get(record.period)
-        if cutoffs is None:
-            unassignable += 1
-            continue
-        entry, exit_ = windows[(record.firm, record.period)]
-        assignments.append(
-            QuintileAssignment(
-                firm=record.firm,
-                period=record.period,
-                quintile=assign_quintile(record.value, cutoffs),
-                entry_month=Month.from_index(entry),
-                exit_month=Month.from_index(exit_),
+
+    held, entry, exit_ = records.holdings()
+    assignments = []
+    for i, first, last in zip(held.tolist(), entry.tolist(), exit_.tolist()):
+        cutoffs = cutoffs_by_period.get(periods[i])
+        if cutoffs is not None:
+            assignments.append(
+                QuintileAssignment(
+                    firm=records.firms[i],
+                    period=YearQuarter(periods[i] // 4, periods[i] % 4 + 1),
+                    quintile=assign_quintile(values[i], cutoffs),
+                    entry_month=Month.from_index(first),
+                    exit_month=Month.from_index(last),
+                )
             )
-        )
-    return AssignmentResult(assignments=tuple(assignments), unassignable=unassignable)
+    return AssignmentResult(tuple(assignments), unassignable=len(held) - len(assignments))
 
 
 @dataclass(frozen=True)

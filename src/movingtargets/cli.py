@@ -205,6 +205,14 @@ def _write_target_set(targets_dir: Path, target_set: extract.TargetSet) -> str:
     return name
 
 
+def _period_index(year: int, quarter: int) -> int:
+    """``year * 4 + quarter - 1``; a quarter outside 1..4 fails as ``corpus.YearQuarter`` does."""
+
+    if quarter not in (1, 2, 3, 4):
+        raise ValueError(f"quarter must be in 1..4, got {quarter!r}")
+    return year * 4 + quarter - 1
+
+
 def _parse_target_set(doc: Any) -> tuple[str, int, object, tuple[tuple[str, ...], int, int]]:
     """(firm, period index, method, ``targets.merge_sections`` of the labels) of a set file.
 
@@ -220,12 +228,9 @@ def _parse_target_set(doc: Any) -> tuple[str, int, object, tuple[tuple[str, ...]
         if not fileio.encodes_as_utf8(text):
             raise ValueError(f"label {text!r} holds a lone surrogate, not UTF-8")
     firm = str(doc["firm"])
-    year, quarter = int(doc["year"]), int(doc["quarter"])
-    # As ``corpus.YearQuarter`` checks it.
-    if quarter not in (1, 2, 3, 4):
-        raise ValueError(f"quarter must be in 1..4, got {quarter!r}")
+    quarter = _period_index(int(doc["year"]), int(doc["quarter"]))
     method = doc["method"]
-    return firm, year * 4 + quarter - 1, method, targets.merge_sections(labels)
+    return firm, quarter, method, targets.merge_sections(labels)
 
 
 def _read_target_sets(files: Sequence[Path]) -> targets.TargetColumns:
@@ -405,38 +410,33 @@ def _format_optional(value: object) -> str:
     return str(value)
 
 
-def _read_scores_csv(
-    path: Path, directions: dict[str, str]
-) -> dict[str, list[corpus.MovingTargetsScore]]:
-    """Each method's score records, in file order; a firm-quarter repeated in a method fails."""
+def _read_scores_csv(path: Path) -> dict[str, corpus.ScoreColumns]:
+    """Each method's score records as columns, in file order.
 
-    from . import corpus
+    Fields are checked in column order, ``tau``, ``n_prev`` and ``n_curr`` too,
+    and a firm-quarter repeated in a method fails.
+    """
 
-    by_method: dict[str, dict[tuple[str, corpus.YearQuarter], corpus.MovingTargetsScore]] = {}
+    from . import corpus, targets
+
+    by_method: dict[str, dict[tuple[str, int], float | None]] = {}
 
     def parse(row: dict[str, str], line: int) -> None:
-        method = row["method"]
-        value = row["value"]
-        record = corpus.MovingTargetsScore(
-            firm=row["firm"],
-            period=corpus.YearQuarter(int(row["year"]), int(row["quarter"])),
-            value=corpus.finite_float(value, "value", f"line {line}") if value else None,
-            method=method,
-            tau=float(row["tau"]) if row["tau"] else None,
-            n_prev=int(row["n_prev"]) if row["n_prev"] else None,
-            n_curr=int(row["n_curr"]) if row["n_curr"] else None,
-            direction=directions.get(method, default_direction(method)),
-            skipped_reason=row["skipped_reason"] or None,
-        )
+        method, firm, value = row["method"], row["firm"], row["value"]
+        quarter = _period_index(int(row["year"]), int(row["quarter"]))
+        number = corpus.finite_float(value, "value", f"line {line}") if value else None
+        for column, parse_field in (("tau", float), ("n_prev", int), ("n_curr", int)):
+            if row[column]:
+                parse_field(row[column])
         held = by_method.setdefault(method, {})
-        key = (record.firm, record.period)
-        if key in held:
-            what = f"{record.firm} {record.period} {method}"
+        if (firm, quarter) in held:
+            what = f"{firm} {targets.period_name(quarter)} {method}"
             raise ValueError(f"second row for {what} at {path}:{line}")
-        held[key] = record
+        held[firm, quarter] = number
 
     _read_csv(path, SCORES_CSV_HEADER, "malformed-score-table", parse)
-    return {method: list(held.values()) for method, held in by_method.items()}
+    # A method's keys are its (firm, period index) pairs, in file order.
+    return {m: corpus.ScoreColumns(*zip(*held), held.values()) for m, held in by_method.items()}
 
 
 def _write_score_tables(out_dir: Path, results: Sequence[score.CorpusScores]) -> None:
@@ -580,7 +580,7 @@ def cmd_backtest(config: RunConfig, methods: Sequence[tuple[str, str]]) -> None:
     returns = corpus.load_returns(config.returns_file)
     factors = corpus.load_factors(config.factors_file)
     directions = _read_summary_directions(config)
-    records = _read_scores_csv(scores_path, directions)
+    records = _read_scores_csv(scores_path)
     methods = [(e, m) for e, m in methods if m in records]
     if not methods:
         raise CliError("missing-score-table", "score table has no rows for the requested methods")

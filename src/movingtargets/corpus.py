@@ -10,9 +10,11 @@ Responsibilities:
 Firms are identified by opaque non-empty strings (typically tickers).
 All loaders are pure given file contents; loaded tables are immutable.
 
-The returns table and the panel are held as columns, with months as integer
-indices; ``ReturnRow`` and ``PanelObservation`` objects are built only at the
-edges. numpy is imported by the code that builds and reads the columns, so
+The returns table, the score records and the panel are held as columns, with
+months and quarters as integer indices, and read through one holding rule
+(``ScoreColumns.holdings``) and one lookup (``ReturnsTable.at_or_before``);
+``ReturnRow``, ``MovingTargetsScore`` and ``PanelObservation`` are edges only.
+numpy is imported by the code that builds and reads the columns, so
 ``extract``, which reads transcripts through this module, never loads it.
 """
 
@@ -21,9 +23,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass
-from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -141,6 +141,58 @@ class MovingTargetsScore:
     skipped_reason: str | None = None
 
 
+class ScoreColumns:
+    """Score records of one method as columns, one entry per record, in input order.
+
+    Record ``i`` is that of firm ``firms[i]`` in period index ``quarters[i]``
+    (``year * 4 + quarter - 1``, int64). ``scored`` marks the records with a
+    value and ``values`` holds it, NaN for a skipped record.
+    """
+
+    def __init__(
+        self, firms: Sequence[str], quarters: Sequence[int], values: Sequence[float | None]
+    ) -> None:
+        import numpy as np
+
+        self.firms = tuple(firms)
+        self.quarters = np.array(quarters, dtype=np.int64)
+        self.scored = np.array([value is not None for value in values], dtype=bool)
+        self.values = np.array([math.nan if v is None else v for v in values], dtype=float)
+
+    @classmethod
+    def of_records(cls, records: Iterable[MovingTargetsScore]) -> "ScoreColumns":
+        records = tuple(records)
+        quarters = [r.period.year * 4 + r.period.quarter - 1 for r in records]
+        return cls([r.firm for r in records], quarters, [r.value for r in records])
+
+    def holdings(self) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """(record, entry month index, exit month index) of the scored records.
+
+        The records are in (firm, period) order, stably. A call is dated to
+        the final month of its quarter (``call_month``), so the window opens
+        the month after it and closes in the month of the firm's next call on
+        record, scored or skipped; with no later call on record the position
+        is held for three months.
+        """
+
+        import numpy as np
+
+        code_of = {firm: code for code, firm in enumerate(sorted(set(self.firms)))}
+        firm = np.array([code_of[f] for f in self.firms], dtype=np.int64)
+        order = np.lexsort((self.quarters, firm))
+        firm, quarter = firm[order], self.quarters[order]
+        # A record's next call is the first of the run after its firm-quarter's
+        # run, if that run is of its firm; past the end, firm -1 is no firm's.
+        change = (firm[1:] != firm[:-1]) | (quarter[1:] != quarter[:-1])
+        ends = np.append(np.flatnonzero(change) + 1, len(order))
+        after = np.repeat(ends, np.diff(ends, prepend=0))
+        call = 3 * quarter + 2
+        later = np.append(firm, -1)[after] == firm
+        exit_ = np.where(later, np.append(call, 0)[after], call + 3)
+        scored = self.scored[order]
+        return order[scored], call[scored] + 1, exit_[scored]
+
+
 @dataclass(frozen=True)
 class Utterance:
     index: int
@@ -249,8 +301,8 @@ class ReturnsTable:
     Rows are sorted by (firm, month). ``firms`` holds the distinct firm ids in
     order, ``months`` the month indices (``Month.index``) of the rows, and
     ``rets``, ``mktcaps`` and ``bms`` their float64 values; the arrays are
-    read-only. ``ret``, ``span`` and ``locate`` take month indices, and
-    ``rows`` builds the ``ReturnRow`` objects.
+    read-only. ``at_or_before`` and ``locate`` take firm codes and month
+    indices, and ``rows`` builds the ``ReturnRow`` objects.
     """
 
     def __init__(
@@ -284,9 +336,7 @@ class ReturnsTable:
         self.rets, self.mktcaps, self.bms = (
             np.array(column, dtype=float)[order] for column in (rets, mktcaps, bms)
         )
-        counts = np.bincount(codes, minlength=len(self.firms)).tolist()
         self._code = code_of
-        self._starts = [0, *accumulate(counts)]
         # One sorted key per row, code * stride + month offset; a looked-up month
         # is clipped to one below or above the table's span, where no row is.
         self._base = int(self.months.min()) - 1 if len(self.months) else 0
@@ -315,11 +365,7 @@ class ReturnsTable:
     def rows(self) -> tuple[ReturnRow, ...]:
         """The rows as objects, sorted by (firm, month)."""
 
-        firms = [
-            firm
-            for code, firm in enumerate(self.firms)
-            for _ in range(self._starts[code], self._starts[code + 1])
-        ]
+        firms = map(self.firms.__getitem__, (self._keys // self._stride).tolist())
         months = map(Month.from_index, self.months.tolist())
         columns = (self.rets.tolist(), self.mktcaps.tolist(), self.bms.tolist())
         return tuple(map(ReturnRow, firms, months, *columns))
@@ -329,57 +375,38 @@ class ReturnsTable:
 
         return self._code.get(firm, -1)
 
-    def _block(self, firm: str) -> tuple[int, int]:
-        """The first and the end row of ``firm``."""
+    def at_or_before(self, codes: "np.ndarray", months: "np.ndarray") -> "np.ndarray":
+        """The latest row of each firm code dated at or before its month index, or -1."""
 
-        code = self._code.get(firm)
-        return (0, 0) if code is None else (self._starts[code], self._starts[code + 1])
+        import numpy as np
+
+        keys = codes * self._stride + np.clip(months - self._base, 0, self._stride - 1)
+        rows = np.searchsorted(self._keys, keys, side="right") - 1
+        found = (codes >= 0) & (rows >= 0)
+        # The key at or before is the firm's only if it has the firm's code.
+        found[found] = self._keys[rows[found]] // self._stride == codes[found]
+        return np.where(found, rows, -1)
 
     def locate(self, codes: "np.ndarray", months: "np.ndarray") -> "np.ndarray":
         """The row of each (firm code, month index) pair, or -1 where there is none."""
 
         import numpy as np
 
-        keys = codes * self._stride + np.clip(months - self._base, 0, self._stride - 1)
-        rows = np.searchsorted(self._keys, keys)
-        found = (codes >= 0) & (rows < len(self._keys))
-        # Keys are compared only where there is a row to compare with.
-        found[found] = self._keys[rows[found]] == keys[found]
+        rows = self.at_or_before(codes, months)
+        found = rows >= 0
+        found[found] = self.months[rows[found]] == months[found]
         return np.where(found, rows, -1)
-
-    def ret(self, firm: str, month: int) -> float | None:
-        span = self.span(firm, month, month)
-        return None if span is None else span[0]
-
-    def span(self, firm: str, first: int, last: int) -> list[float] | None:
-        """Returns of ``firm`` over months ``first..last``, oldest first.
-
-        None unless every month of the span has a row.
-        """
-
-        lo, hi = self._block(firm)
-        start = bisect_left(self.months, first, lo, hi)
-        end = start + last - first
-        # The months are distinct and sorted and months[start] >= first, so
-        # months[end] == last leaves no room for a gap.
-        if not lo <= end < hi or self.months[end] != last:
-            return None
-        return self.rets[start : end + 1].tolist()
 
     def latest_at_or_before(self, firm: str, month: Month) -> ReturnRow | None:
         """Most recent row for ``firm`` dated at or before ``month``."""
 
-        lo, hi = self._block(firm)
-        row = bisect_right(self.months, month.index, lo, hi) - 1
-        if row < lo:
+        import numpy as np
+
+        row = int(self.at_or_before(np.array([self.code(firm)]), np.array([month.index]))[0])
+        if row < 0:
             return None
-        return ReturnRow(
-            firm,
-            Month.from_index(int(self.months[row])),
-            float(self.rets[row]),
-            float(self.mktcaps[row]),
-            float(self.bms[row]),
-        )
+        values = (column[row].item() for column in (self.rets, self.mktcaps, self.bms))
+        return ReturnRow(firm, Month.from_index(self.months[row].item()), *values)
 
 
 def finite_float(value: str, column: str, where: str) -> float:
@@ -468,24 +495,24 @@ def load_returns(path: str | Path) -> ReturnsTable:
 
     path = Path(path)
     lines: list[int] = []
-    rows: list[list[str]] = []
+    texts: list[list[str]] = [[] for _ in RETURNS_COLUMNS]
     failure: Exception | None = None
     try:
         reader = fileio.read_rows(path, RETURNS_COLUMNS, extra_columns=True)
         _, header = next(reader)
+        # A header naming one column twice gives the last of them, as a
+        # ``dict`` of the row would.
+        position = {name: i for i, name in enumerate(header)}
+        fields = [(text.append, position[name]) for text, name in zip(texts, RETURNS_COLUMNS)]
         for line, row in reader:
             lines.append(line)
-            rows.append(row)
+            for append, at in fields:
+                append(row[at])
     except (OSError, ValueError) as exc:
         failure = exc
 
     columns: list[Sequence] = [[] for _ in RETURNS_COLUMNS]
-    if rows:
-        # A header naming one column twice gives the last of them, as a
-        # ``dict`` of the row would.
-        position = {name: i for i, name in enumerate(header)}
-        by_position = list(zip(*rows))
-        texts = [by_position[position[column]] for column in RETURNS_COLUMNS]
+    if lines:
         firms = [text.strip() for text in texts[0]]
         month_of = {text: _month_index(text.strip()) for text in set(texts[1])}
         months = [month_of[text] for text in texts[1]]
@@ -649,28 +676,6 @@ class PanelBuildResult:
         return self.table.rows
 
 
-def holding_windows(
-    calls: Iterable[tuple[str, YearQuarter]],
-) -> dict[tuple[str, YearQuarter], tuple[int, int]]:
-    """Entry and exit month indices of every ``(firm, period)`` call.
-
-    The window opens the month after the call and closes in the month of the
-    firm's next call; with no later call on record the position is held for
-    three months.
-    """
-
-    calendar: dict[str, set[YearQuarter]] = {}
-    for firm, period in calls:
-        calendar.setdefault(firm, set()).add(period)
-    windows: dict[tuple[str, YearQuarter], tuple[int, int]] = {}
-    for firm, periods in calendar.items():
-        ordered = sorted(periods, key=lambda period: (period.year, period.quarter))
-        months = [call_month(period).index for period in ordered]
-        for period, call, end in zip(ordered, months, months[1:] + [months[-1] + 3]):
-            windows[(firm, period)] = (call + 1, end)
-    return windows
-
-
 def window_months(entry: "np.ndarray", exit_: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
     """(window, month index) of every month of the windows ``entry[i]..exit_[i]``, in order."""
 
@@ -693,30 +698,29 @@ def compound_return(returns: Sequence[float]) -> float:
 
 
 def build_panel(
-    scores: Sequence[MovingTargetsScore],
+    scores: ScoreColumns | Sequence[MovingTargetsScore],
     returns: ReturnsTable,
     factors: FactorSeries | None = None,
 ) -> PanelBuildResult:
     """Assemble firm-month panel rows from score records and returns.
 
-    ``scores`` may include skipped records (``value is None``); those carry
-    no rows of their own but still mark call dates, which delimit the
-    holding windows of neighbouring scored quarters. ``factors`` is only
-    consulted to count panel months without factor coverage. The rows are
-    the holding months of the scored records in (firm, period) order, each
-    window oldest first, and each column is looked up in ``returns`` at once.
+    ``scores`` may include skipped records; those carry no rows of their own
+    but still mark call dates, which delimit the holding windows of
+    neighbouring scored quarters (``ScoreColumns.holdings``). ``factors`` is
+    only consulted to count panel months without factor coverage. The rows
+    are the holding months of the scored records in (firm, period) order,
+    each window oldest first, and each column is looked up in ``returns`` at
+    once. ``MovingTargetsScore`` records are taken as ``ScoreColumns`` first.
     """
 
     import numpy as np
 
-    windows = holding_windows((record.firm, record.period) for record in scores)
-    scored = sorted(
-        (r for r in scores if r.value is not None),
-        key=lambda r: (r.firm, r.period.year, r.period.quarter),
-    )
-    bounds = np.array([windows[(r.firm, r.period)] for r in scored], dtype=np.int64)
-    record, month = window_months(*bounds.reshape(-1, 2).T)
-    code = np.array([returns.code(r.firm) for r in scored], dtype=np.int64)[record]
+    if not isinstance(scores, ScoreColumns):
+        scores = ScoreColumns.of_records(scores)
+    held, entry, exit_ = scores.holdings()
+    codes = np.array([returns.code(firm) for firm in scores.firms], dtype=np.int64)[held]
+    record, month = window_months(entry, exit_)
+    code = codes[record]
     row = returns.locate(code, month)
     expected = len(month)
     without_factors = 0
@@ -724,14 +728,13 @@ def build_panel(
         factor_months = [r.month.index for r in factors.rows]
         without_factors = int(np.count_nonzero(~np.isin(month, factor_months)))
 
-    # Size and book-to-market as of each record's call month.
-    sized = np.zeros(len(scored), dtype=bool)
-    log_size, log_bm = np.full((2, len(scored)), math.nan)
-    for i, r in enumerate(scored):
-        latest = returns.latest_at_or_before(r.firm, call_month(r.period))
-        if latest is not None:
-            sized[i] = True
-            log_size[i], log_bm[i] = math.log(latest.mktcap), math.log(latest.bm)
+    # Size and book-to-market as of each record's call month, logged by
+    # ``math.log``, whose bits numpy's vectorised log need not have.
+    latest = returns.at_or_before(codes, entry - 1)
+    sized = latest >= 0
+    log_size, log_bm = np.full((2, len(held)), math.nan)
+    log_size[sized] = list(map(math.log, returns.mktcaps[latest[sized]].tolist()))
+    log_bm[sized] = list(map(math.log, returns.bms[latest[sized]].tolist()))
 
     record, month, code, row = (column[row >= 0] for column in (record, month, code, row))
     previous = returns.locate(code, month - 1)
@@ -744,10 +747,10 @@ def build_panel(
         ret_12_1[trailing] = compound_return(returns.rets[first[trailing] + np.arange(12)[:, None]])
     complete = sized[record] & (previous >= 0) & trailing
     table = PanelTable(
-        firm=tuple(scored[i].firm for i in record.tolist()),
+        firm=tuple(map(scores.firms.__getitem__, held[record].tolist())),
         month=month,
         ret=returns.rets[row],
-        score=np.array([r.value for r in scored], dtype=float)[record],
+        score=scores.values[held][record],
         log_size=log_size[record],
         log_bm=log_bm[record],
         ret_1_0=np.where(previous >= 0, returns.rets[previous], math.nan),

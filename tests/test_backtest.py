@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from movingtargets.backtest import (
     FM_REGRESSORS,
+    AssignmentResult,
     BacktestError,
     InsufficientHistoryError,
     InsufficientOverlapError,
@@ -155,6 +156,38 @@ class TestBuildAssignments:
         by_firm = {a.firm: a.quintile for a in result.assignments if a.period == YearQuarter(2021, 1)}
         assert by_firm["F1"] == 1
         assert by_firm["F8"] == 5
+
+    def test_repeated_firm_quarter_shares_the_window_to_the_next_call(self):
+        result = build_assignments([*self.make_records(), record("F1", 2021, 1, 0.9)])
+        repeats = [
+            (a.quintile, a.entry_month, a.exit_month)
+            for a in result.assignments
+            if a.firm == "F1" and a.period == YearQuarter(2021, 1)
+        ]
+        assert repeats == [(1, Month(2021, 4), Month(2021, 6)), (5, Month(2021, 4), Month(2021, 6))]
+
+    def test_skipped_call_between_scored_calls_closes_the_earlier_window(self):
+        records = [
+            record(r.firm, r.period.year, r.period.quarter, None)
+            if (r.firm, r.period) == ("F1", YearQuarter(2021, 2))
+            else r
+            for r in self.make_records()
+        ]
+        result = build_assignments([*records, record("F1", 2021, 4, 0.1)])
+        assert [
+            (a.period, a.quintile, a.entry_month, a.exit_month)
+            for a in result.assignments
+            if a.firm == "F1"
+        ] == [
+            (YearQuarter(2021, 1), 1, Month(2021, 4), Month(2021, 6)),
+            (YearQuarter(2021, 4), 1, Month(2022, 1), Month(2022, 3)),
+        ]
+        assert result.unassignable == 8 * 4
+
+    def test_no_scored_record_gives_no_assignment(self):
+        assert build_assignments([]) == AssignmentResult(assignments=(), unassignable=0)
+        skipped = [record("F1", 2020, q, None) for q in (1, 2, 3, 4)]
+        assert build_assignments(skipped) == AssignmentResult(assignments=(), unassignable=0)
 
     def test_invalid_assignment_rejected(self):
         with pytest.raises(ValueError):
@@ -327,9 +360,10 @@ def test_returns_index_matches_row_scan(returns, firm, offset, length):
         returns.rows, firm, month
     )
     by_month = {(row.firm, row.month.index): row.ret for row in returns.rows}
-    wanted = [by_month.get((firm, m)) for m in range(month.index - length, month.index + 1)]
-    expected = None if None in wanted else wanted
-    assert returns.span(firm, month.index - length, month.index) == expected
+    months = np.arange(month.index - length, month.index + 1)
+    rows = returns.locate(np.full(len(months), returns.code(firm)), months).tolist()
+    found = [None if row < 0 else returns.rets[row] for row in rows]
+    assert found == [by_month.get((firm, m)) for m in months.tolist()]
 
 
 @st.composite

@@ -738,6 +738,18 @@ CORRUPT_INPUTS = {
         "scores.csv", set_field("value", "inf", method="semantic", firm="AAPL", year="2021"),
         "backtest", "malformed-score-table",
     ),
+    "scores-quarter-5": (
+        "scores.csv", set_field("quarter", "5", method="semantic", firm="AAPL", year="2021"),
+        "backtest", "malformed-score-table",
+    ),
+    "scores-tau-not-a-number": (
+        "scores.csv", set_field("tau", "x", method="semantic", firm="AAPL", year="2021"),
+        "backtest", "malformed-score-table",
+    ),
+    "scores-n-prev-not-an-integer": (
+        "scores.csv", set_field("n_prev", "1.5", method="semantic", firm="AAPL", year="2021"),
+        "backtest", "malformed-score-table",
+    ),
     "returns-short-row": (
         "corpus/returns.csv", lambda path: rewrite_lines(path, short_row),
         "backtest", "malformed-input",
@@ -907,6 +919,24 @@ TARGET_SET_ERRORS = {
 }
 
 
+# The detail of the stderr line ``error: malformed-score-table: <detail>`` of
+# every such case of CORRUPT_INPUTS, with ``{path}`` for the corrupted file.
+# ``scores.csv`` is checked field by field in its column order, so each line
+# names the first field of the first row that breaks a rule.
+SCORE_TABLE_ERRORS = {
+    "scores-n-prev-not-an-integer": "scores.csv: invalid literal for int() with base 10: '1.5'",
+    "scores-quarter-5": "scores.csv: quarter must be in 1..4, got 5",
+    "scores-repeated-row-names-its-line": (
+        "scores.csv: second row for AAPL 2021Q1 semantic at {path}:21"
+    ),
+    "scores-short-row": "scores.csv: line 2: expected 9 fields, got 2",
+    "scores-tau-not-a-number": "scores.csv: could not convert string to float: 'x'",
+    "scores-value-inf": "scores.csv: non-finite number in column 'value' at line 19",
+    "scores-value-nan": "scores.csv: non-finite number in column 'value' at line 19",
+    "scores-year-not-a-number": "scores.csv: invalid literal for int() with base 10: '20x9'",
+}
+
+
 def snapshot(out):
     return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
@@ -938,6 +968,9 @@ def test_malformed_input_gives_one_error_line_and_keeps_outputs(
     assert result.stderr.startswith(f"error: {code}: ")
     if command == "score":
         assert result.stderr == f"error: {code}: {TARGET_SET_ERRORS[case]}\n"
+    if code == "malformed-score-table":
+        detail = SCORE_TABLE_ERRORS[case].format(path=out / name)
+        assert result.stderr == f"error: {code}: {detail}\n"
     for value in planted:
         lines = (out / name).read_text(encoding="utf-8").splitlines()
         line = next(n for n, text in enumerate(lines, 1) if value in text)
@@ -1187,6 +1220,35 @@ def test_score_command_builds_no_match_objects(full_corpus, tmp_path, monkeypatc
     result = invoke(CliRunner(), full_corpus, "score", out_dir=out)
     assert result.exit_code == 0, result.output
     for name in SCORE_FILES:
+        assert (out / name).read_bytes() == (pipeline_out / name).read_bytes(), name
+    assert built == []
+
+
+BACKTEST_FILES = (
+    "backtest_portfolios.csv",
+    "backtest_fama_macbeth.csv",
+    "backtest_plot_data.csv",
+    "backtest_meta.json",
+)
+
+
+def test_backtest_builds_no_score_records_or_return_rows(
+    full_corpus, tmp_path, monkeypatch, pipeline_out
+):
+    built = []
+    for cls in (mt_corpus.MovingTargetsScore, mt_corpus.ReturnRow):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    for name in BACKTEST_FILES:
+        (out / name).unlink()
+    result = invoke(CliRunner(), full_corpus, "backtest", out_dir=out)
+    assert result.exit_code == 0, result.output
+    for name in BACKTEST_FILES:
         assert (out / name).read_bytes() == (pipeline_out / name).read_bytes(), name
     assert built == []
 

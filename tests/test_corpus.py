@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from movingtargets.corpus import (
@@ -12,11 +13,11 @@ from movingtargets.corpus import (
     Month,
     ReturnRow,
     ReturnsTable,
+    ScoreColumns,
     YearQuarter,
     build_panel,
     call_month,
     compound_return,
-    holding_windows,
     load_factors,
     load_returns,
     load_transcript,
@@ -184,7 +185,8 @@ class TestLoadReturns:
         )
         table = load_returns(path)
         assert len(table.rows) == 2
-        assert table.ret("AAPL", Month(2020, 2).index) == -0.01
+        row = table.locate(np.array([table.code("AAPL")]), np.array([Month(2020, 2).index]))
+        assert table.rets[row].tolist() == [-0.01]
 
     def test_duplicate_firm_month_rejected(self, tmp_path):
         path = tmp_path / "returns.csv"
@@ -341,8 +343,11 @@ def make_returns(firm, start: Month, rets, mktcap=1000.0, bm=0.5):
 def window_months(period, calendar):
     """``period``'s window, as Months, for a firm that calls in ``calendar``."""
 
-    entry, exit_ = holding_windows(("AAPL", p) for p in calendar)[("AAPL", period)]
-    return Month.from_index(entry), Month.from_index(exit_)
+    quarters = [p.year * 4 + p.quarter - 1 for p in calendar]
+    columns = ScoreColumns(["AAPL"] * len(calendar), quarters, [0.5] * len(calendar))
+    record, entry, exit_ = columns.holdings()
+    i = record.tolist().index(calendar.index(period))
+    return Month.from_index(int(entry[i])), Month.from_index(int(exit_[i]))
 
 
 class TestHoldingWindow:
@@ -438,6 +443,52 @@ class TestBuildPanel:
         for row in result.rows:
             assert math.isfinite(row.log_size)
             assert math.isfinite(row.log_bm)
+
+    def test_empty_returns_table_skips_every_month(self):
+        result = build_panel([score_record("AAPL", 2020, 1, 0.5)], ReturnsTable.from_rows([]))
+        assert result.rows == ()
+        assert result.diagnostics == {
+            "rows_emitted": 0,
+            "rows_skipped_no_return": 3,
+            "rows_missing_controls": 0,
+            "months_without_factors": 0,
+            "expected_rows": 3,
+        }
+
+    def test_firm_without_return_rows_gives_no_rows(self):
+        records = [score_record("MSFT", 2020, 1, 0.9), score_record("AAPL", 2020, 1, 0.5)]
+        returns = make_returns("AAPL", Month(2019, 1), [0.01] * 24)
+        result = build_panel(records, returns)
+        assert [(row.firm, str(row.month)) for row in result.rows] == [
+            ("AAPL", "2020-04"), ("AAPL", "2020-05"), ("AAPL", "2020-06")
+        ]
+        assert result.diagnostics["rows_skipped_no_return"] == 3
+
+    def test_repeated_firm_quarter_holds_each_record_to_the_next_call(self):
+        records = [
+            score_record("AAPL", 2020, 1, 0.5),
+            score_record("AAPL", 2020, 1, 0.7),
+            score_record("AAPL", 2020, 2, None, skipped_reason="missing_previous_call"),
+        ]
+        returns = make_returns("AAPL", Month(2019, 1), [0.01] * 24)
+        result = build_panel(records, returns)
+        assert [(str(row.month), row.score) for row in result.rows] == [
+            ("2020-04", 0.5), ("2020-05", 0.5), ("2020-06", 0.5),
+            ("2020-04", 0.7), ("2020-05", 0.7), ("2020-06", 0.7),
+        ]
+
+    def test_skipped_call_between_scored_calls_closes_the_earlier_window(self):
+        records = [
+            score_record("AAPL", 2020, 3, 0.6),
+            score_record("AAPL", 2020, 2, None, skipped_reason="empty_previous_targets"),
+            score_record("AAPL", 2020, 1, 0.8),
+        ]
+        returns = make_returns("AAPL", Month(2019, 1), [0.01] * 36)
+        result = build_panel(records, returns)
+        assert [(str(row.month), row.score) for row in result.rows] == [
+            ("2020-04", 0.8), ("2020-05", 0.8), ("2020-06", 0.8),
+            ("2020-10", 0.6), ("2020-11", 0.6), ("2020-12", 0.6),
+        ]
 
     def test_factor_coverage_gap_counted(self, tmp_path):
         records = [score_record("AAPL", 2020, 1, 0.5)]
